@@ -19,6 +19,22 @@ use rand::Rng;
 
 const WORD_BITS: usize = 64;
 
+/// Lanes per [`SignBlock`]: half a packed word.
+pub const SIGN_BLOCK: usize = 32;
+
+/// `BIT[j] = 1 << j`. Testing lane `j` against this constant table compiles
+/// to `pand` + `pcmpeqd` on baseline x86-64; the per-lane variable shift of
+/// `(bits >> j) & 1` has no SSE2 form and would stay scalar.
+const BIT: [u32; SIGN_BLOCK] = {
+    let mut t = [0u32; SIGN_BLOCK];
+    let mut j = 0;
+    while j < SIGN_BLOCK {
+        t[j] = 1 << j;
+        j += 1;
+    }
+    t
+};
+
 /// A bit-packed bipolar hypervector in `{-1, +1}^D`.
 ///
 /// # Examples
@@ -275,6 +291,57 @@ impl BipolarHv {
         (0..self.dim).map(move |i| self.value(i))
     }
 
+    /// The sign bits of dimensions `start..D`, one [`SignBlock`] per
+    /// [`SIGN_BLOCK`] lanes; the last block may be short (its bits past
+    /// `D` are zero). Any `start` works, not just word boundaries, so a
+    /// rotation reads its two wrapped segments from here. This is the
+    /// word-parallel input of the [`DenseHv`](super::DenseHv) sign-select
+    /// kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > self.dim()`.
+    #[inline]
+    pub fn sign_blocks(&self, start: usize) -> impl Iterator<Item = SignBlock> + '_ {
+        assert!(
+            start <= self.dim,
+            "start {start} out of range for D={}",
+            self.dim
+        );
+        (start..self.dim)
+            .step_by(SIGN_BLOCK)
+            .map(move |p| SignBlock(self.bits_at(p)))
+    }
+
+    /// The 32 bits of dimensions `p..p + 32` (zero past the last word).
+    #[inline(always)]
+    fn bits_at(&self, p: usize) -> u32 {
+        let (w, off) = (p / WORD_BITS, p % WORD_BITS);
+        let lo = u128::from(self.words[w]);
+        let hi = u128::from(self.words.get(w + 1).copied().unwrap_or(0));
+        (((hi << WORD_BITS) | lo) >> off) as u32
+    }
+
+    /// Packs the negative lanes of `values` (`v < 0` ⇔ `-1`), a word at a
+    /// time: the inverse of [`SignBlock::masks`], used for binarization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` is empty.
+    pub(super) fn from_negative_lanes(values: &[i32]) -> Self {
+        let mut hv = Self::ones(values.len());
+        for (word, lanes) in hv.words.iter_mut().zip(values.chunks(WORD_BITS)) {
+            for (h, half) in lanes.chunks(SIGN_BLOCK).enumerate() {
+                let bits = half
+                    .iter()
+                    .zip(&BIT)
+                    .fold(0u32, |acc, (&v, &b)| acc | (b & (v >> 31) as u32));
+                *word |= u64::from(bits) << (h * SIGN_BLOCK);
+            }
+        }
+        hv
+    }
+
     /// Raw packed words (low bit of word 0 is dimension 0). Unused tail bits
     /// are always zero. Exposed for the hardware cost models, which account
     /// for word-level memory traffic.
@@ -289,6 +356,23 @@ impl BipolarHv {
                 *last &= (1u64 << rem) - 1;
             }
         }
+    }
+}
+
+/// The sign bits of up to [`SIGN_BLOCK`] consecutive dimensions of a
+/// [`BipolarHv`] (bit `j` is lane `j`; bit 1 ⇔ `-1`), as yielded by
+/// [`BipolarHv::sign_blocks`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SignBlock(u32);
+
+impl SignBlock {
+    /// Per-lane sign masks: `-1` (all bits set) where the lane holds `-1`
+    /// and `0` where it holds `+1`, so `(x ^ m) - m` is `±x` without a
+    /// branch or a multiply. Zip with the block's lanes; lanes past `D` in
+    /// a short block are `0`.
+    #[inline(always)]
+    pub fn masks(self) -> impl Iterator<Item = i32> {
+        BIT.iter().map(move |&b| -i32::from(self.0 & b != 0))
     }
 }
 

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use super::BipolarHv;
+use super::{BipolarHv, SignBlock, SIGN_BLOCK};
 
 /// A dense integer hypervector in `ℤ^D`.
 ///
@@ -124,9 +124,7 @@ impl DenseHv {
     /// Panics if the dimensions differ.
     pub fn add_bipolar(&mut self, hv: &BipolarHv) {
         assert_eq!(self.dim(), hv.dim(), "add requires equal dimensions");
-        for (i, a) in self.values.iter_mut().enumerate() {
-            *a += hv.value(i);
-        }
+        sign_select_add(&mut self.values, ones(), 1, hv.sign_blocks(0));
     }
 
     /// `self -= hv` where `hv` is bipolar.
@@ -136,9 +134,7 @@ impl DenseHv {
     /// Panics if the dimensions differ.
     pub fn sub_bipolar(&mut self, hv: &BipolarHv) {
         assert_eq!(self.dim(), hv.dim(), "sub requires equal dimensions");
-        for (i, a) in self.values.iter_mut().enumerate() {
-            *a -= hv.value(i);
-        }
+        sign_select_add(&mut self.values, ones(), -1, hv.sign_blocks(0));
     }
 
     /// `self += ρ^rot(hv)` — the fused hot-path of the baseline permutation
@@ -152,15 +148,15 @@ impl DenseHv {
         let d = self.dim();
         assert_eq!(d, hv.dim(), "add requires equal dimensions");
         let rot = rot % d;
-        // out[i] = hv[(i + d - rot) % d]; iterate source index to stay linear.
-        for (i, a) in self.values.iter_mut().enumerate() {
-            let src = if i >= rot { i - rot } else { i + d - rot };
-            *a += hv.value(src);
-        }
+        // out[i] = hv[i - rot] for i >= rot, and hv[i + d - rot] below it.
+        let (head, tail) = self.values.split_at_mut(rot);
+        sign_select_add(tail, ones(), 1, hv.sign_blocks(0));
+        sign_select_add(head, ones(), 1, hv.sign_blocks(d - rot));
     }
 
     /// `self += w · (key ⊙ other)` — fused bind-scale-accumulate used by the
-    /// LookHD chunk aggregation and model compression (`P ⊙ H` terms).
+    /// LookHD chunk aggregation, counter materialization and model
+    /// compression/retraining (`P ⊙ H` terms).
     ///
     /// # Panics
     ///
@@ -168,9 +164,8 @@ impl DenseHv {
     pub fn add_bound_scaled(&mut self, key: &BipolarHv, other: &Self, w: i32) {
         assert_eq!(self.dim(), key.dim(), "bind requires equal dimensions");
         assert_eq!(self.dim(), other.dim(), "bind requires equal dimensions");
-        for (i, a) in self.values.iter_mut().enumerate() {
-            *a += w * key.value(i) * other.values[i];
-        }
+        let rows = other.values.chunks(SIGN_BLOCK);
+        sign_select_add(&mut self.values, rows, w, key.sign_blocks(0));
     }
 
     /// Returns `key ⊙ self` (element-wise sign flips; no multiplier needed
@@ -180,14 +175,9 @@ impl DenseHv {
     ///
     /// Panics if the dimensions differ.
     pub fn bound(&self, key: &BipolarHv) -> Self {
-        assert_eq!(self.dim(), key.dim(), "bind requires equal dimensions");
-        let values = self
-            .values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| if key.is_negative(i) { -v } else { v })
-            .collect();
-        Self { values }
+        let mut out = Self::zeros(self.dim());
+        out.add_bound_scaled(key, self, 1);
+        out
     }
 
     /// Dot product with another dense hypervector.
@@ -211,17 +201,14 @@ impl DenseHv {
     /// Panics if the dimensions differ.
     pub fn dot_bipolar(&self, hv: &BipolarHv) -> i64 {
         assert_eq!(self.dim(), hv.dim(), "dot requires equal dimensions");
-        self.values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                if hv.is_negative(i) {
-                    -(v as i64)
-                } else {
-                    v as i64
-                }
-            })
-            .sum()
+        let mut sum = 0i64;
+        for (values, block) in self.values.chunks(SIGN_BLOCK).zip(hv.sign_blocks(0)) {
+            for (&v, m) in values.iter().zip(block.masks()) {
+                let (v, m) = (i64::from(v), i64::from(m));
+                sum += (v ^ m) - m;
+            }
+        }
+        sum
     }
 
     /// Euclidean norm `‖self‖`.
@@ -257,13 +244,7 @@ impl DenseHv {
     /// Element-wise sign, breaking ties (zero) toward `+1`. This is the
     /// majority-threshold binarization used by binary HDC models.
     pub fn sign(&self) -> BipolarHv {
-        let mut out = BipolarHv::ones(self.dim());
-        for (i, &v) in self.values.iter().enumerate() {
-            if v < 0 {
-                out.set(i, -1);
-            }
-        }
-        out
+        BipolarHv::from_negative_lanes(&self.values)
     }
 
     /// Largest absolute element value; the hardware model uses this to size
@@ -271,6 +252,33 @@ impl DenseHv {
     pub fn max_abs(&self) -> i32 {
         self.values.iter().map(|v| v.abs()).max().unwrap_or(0)
     }
+}
+
+/// The sign-select kernel: `acc[i] += w · (s_i · row[i])`, where `s_i` is
+/// the sign of key lane `i`, given as a mask `m_i ∈ {0, −1}` (bit 1 ⇔ −1).
+/// `(row ^ m) − m` is `row` for `m = 0` and its two's-complement negation
+/// for `m = −1`, so binding costs an XOR and a subtract per lane and the
+/// loop has no branch. `rows` and `blocks` advance one [`SIGN_BLOCK`] per
+/// step; the last block may be short. Arithmetic wraps exactly as
+/// `w * s_i * row[i]` does in release builds.
+#[inline(always)]
+fn sign_select_add<'r>(
+    acc: &mut [i32],
+    rows: impl Iterator<Item = &'r [i32]>,
+    w: i32,
+    blocks: impl Iterator<Item = SignBlock>,
+) {
+    for ((acc, row), block) in acc.chunks_mut(SIGN_BLOCK).zip(rows).zip(blocks) {
+        for ((a, &r), m) in acc.iter_mut().zip(row).zip(block.masks()) {
+            *a += w * ((r ^ m) - m);
+        }
+    }
+}
+
+/// The all-`+1` row that turns the kernel into a bipolar add.
+fn ones() -> impl Iterator<Item = &'static [i32]> {
+    const ONES: &[i32] = &[1; SIGN_BLOCK];
+    std::iter::repeat(ONES)
 }
 
 impl From<&BipolarHv> for DenseHv {

@@ -3,5 +3,5 @@
 mod bipolar;
 mod dense;
 
-pub use bipolar::BipolarHv;
+pub use bipolar::{BipolarHv, SignBlock, SIGN_BLOCK};
 pub use dense::DenseHv;

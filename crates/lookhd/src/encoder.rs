@@ -159,16 +159,16 @@ impl LookupEncoder {
                 features.len()
             )));
         }
-        let mut addrs = Vec::with_capacity(layout.n_chunks());
-        for c in 0..layout.n_chunks() {
-            let range = layout.feature_range(c);
-            let levels: Vec<usize> = features[range]
-                .iter()
-                .map(|&x| self.quantizer.level(x))
-                .collect();
-            addrs.push(layout.address(c, &levels));
-        }
-        Ok(addrs)
+        // Folds each chunk's levels straight into its base-q address
+        // (`ChunkLayout::address` without the per-chunk level vector).
+        let q = layout.q() as u64;
+        Ok((0..layout.n_chunks())
+            .map(|c| {
+                features[layout.feature_range(c)]
+                    .iter()
+                    .fold(0, |addr, &x| addr * q + self.quantizer.level(x) as u64)
+            })
+            .collect())
     }
 
     /// Aggregates pre-computed chunk addresses into the encoded hypervector

@@ -695,6 +695,22 @@ fn try_reuseport_listeners(
     Some((listeners, local_addr))
 }
 
+/// Every serve request, response, rejection, shed and drop counter. A
+/// starting server registers each at zero, so a scrape that lands before
+/// the first request still lists them all.
+const SERVE_COUNTERS: &[&str] = &[
+    "serve.requests",
+    "serve.responses.ok",
+    "serve.responses.error",
+    "serve.overload_rejections",
+    "serve.deadline_misses",
+    "serve.conn_rejections",
+    "serve.accept_sheds",
+    "serve.slow_client_drops",
+    "serve.bad_frames",
+    "serve.class_overflows",
+];
+
 fn start_impl<A: ToSocketAddrs>(
     addr: A,
     model: SharedClassifier,
@@ -726,6 +742,9 @@ fn start_impl<A: ToSocketAddrs>(
             (listeners, local_addr, false)
         }
     };
+    for name in SERVE_COUNTERS {
+        obs::counter_id(obs::intern_counter(name, &[]), 0);
+    }
     if sharded {
         obs::counter("serve.accept_shards", n_reactors as u64);
     }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, the full test suite, the persistence
-# and wire-protocol corruption sweeps, a CLI metrics smoke test, an
+# and wire-protocol corruption sweeps, the sign-select kernel differential
+# and a 10x stability loop over the hot-swap/serve suites, a CLI metrics smoke test, an
 # end-to-end serve + loadgen smoke test (admin telemetry endpoint, trace
 # export, perf-trajectory files), an online-training hot-swap smoke
 # test, and the observability overhead budget.
@@ -25,6 +26,19 @@ cargo test -q --test serve_corruption
 
 echo "== encoder table-mode parity (proptest differential)"
 cargo test -q --test prop_encoder_parity
+
+echo "== sign-select kernel differential (release: also checks wrapping)"
+cargo test --release -q --test prop_hypervectors sign_select
+
+echo "== hot-swap + serve differential stability (10 release runs each)"
+# These suites race scrapes, swaps and traffic; any failure in any run
+# fails CI (a test that fails some of the time is a defect to fix).
+for run in $(seq 1 10); do
+    echo "-- run $run/10"
+    cargo test --release -q --test obs_scrape_hotswap
+    cargo test --release -q --test serve_hotswap
+    cargo test --release -q --test serve_differential
+done
 
 echo "== scoring-kernel differential suites + serve matrix"
 cargo test -q -p lookhd score_lut

@@ -16,7 +16,9 @@
 //!   writers stopped and the window clock frozen, two back-to-back
 //!   snapshots are bit-identical even after 8 threads hammered the
 //!   same labeled metrics concurrently;
-//! * `/healthz` flips to 503 (`draining`) once shutdown begins.
+//! * `/healthz` flips to 503 (`draining`) once shutdown begins;
+//! * every serve response, rejection, shed and drop counter is on
+//!   `/metrics` at zero from startup, before any request.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -26,8 +28,8 @@ use lookhd_paper::hdc::FitClassifier;
 use lookhd_paper::lookhd::{CompressionConfig, KernelSpec, LookHdClassifier, LookHdConfig};
 use lookhd_paper::obs;
 use lookhd_paper::serve::{
-    http_get, http_get_status, start_admin_with, start_online, AdminOptions, Client, OnlineConfig,
-    Request, Response, ServeConfig,
+    http_get, http_get_status, start, start_admin_with, start_online, AdminOptions, Client,
+    OnlineConfig, Request, Response, ServeConfig,
 };
 
 /// The global obs registry is process-wide; tests in this binary must
@@ -351,6 +353,62 @@ fn concurrent_scrapes_during_hotswap_stay_consistent_and_version_labels_flip_ato
     admin.shutdown();
     admin.join();
 
+    obs::set_enabled(false);
+    obs::reset();
+}
+
+#[test]
+fn fresh_server_lists_every_serve_counter_at_zero_before_any_request() {
+    let _guard = obs_guard();
+    obs::reset();
+    obs::set_enabled(true);
+
+    let handle = start(
+        "127.0.0.1:0",
+        std::sync::Arc::new(trained()),
+        ServeConfig::new(),
+    )
+    .expect("bind failed");
+    let admin = start_admin_with("127.0.0.1:0", AdminOptions::new()).expect("admin bind failed");
+    let admin_addr = admin.addr().to_string();
+
+    let prom = http_get(&admin_addr, "/metrics").expect("prom scrape failed");
+    let json = http_get(&admin_addr, "/metrics.json").expect("scrape failed");
+    let snapshot = obs::snapshot();
+    for name in [
+        "serve.requests",
+        "serve.responses.ok",
+        "serve.responses.error",
+        "serve.overload_rejections",
+        "serve.deadline_misses",
+        "serve.conn_rejections",
+        "serve.accept_sheds",
+        "serve.slow_client_drops",
+        "serve.bad_frames",
+        "serve.class_overflows",
+    ] {
+        let metric = format!("lookhd_{}", name.replace('.', "_"));
+        assert!(
+            prom.lines().any(|line| line == format!("{metric} 0")),
+            "{metric} is not at 0 on a fresh server's /metrics:\n{prom}"
+        );
+        assert!(
+            json.contains(&format!("\"{name}\"")),
+            "{name} missing from /metrics.json"
+        );
+        assert!(
+            snapshot
+                .counters
+                .iter()
+                .any(|c| c.name == name && c.value == 0),
+            "{name} is not registered at 0"
+        );
+    }
+
+    handle.shutdown();
+    handle.join();
+    admin.shutdown();
+    admin.join();
     obs::set_enabled(false);
     obs::reset();
 }
