@@ -52,8 +52,9 @@
 //! caps their bytes) and `binary` (approximate bit-packed Hamming
 //! scoring; `--multifold N` enables prefix-scoring with margin-gated
 //! escalation) are hard requests that fail when the model cannot satisfy
-//! them. Non-dense kinds imply compression without decorrelation at train
-//! time.
+//! them. `auto` and `lut` train the paper's decorrelated model (the LUT
+//! carries the whitening as projection columns); `binary` implies
+//! compression without decorrelation at train time.
 
 mod args;
 
@@ -145,7 +146,7 @@ any result bit; under `serve` it sets the batch-worker count instead.
 dense (exact reference), lut (exact precomputed tables; --kernel-budget
 caps their bytes), binary (approximate bit-packed Hamming scoring;
 --multifold N scores word prefixes and escalates only on thin margins).
-On train it is built and persisted with the model (non-dense kinds imply
+On train it is built and persisted with the model (binary implies
 compression without decorrelation); on info/serve it rebuilds the kernel
 of a loaded LKS1 artifact without retraining.
 --reactors N (serve) sets the I/O event-loop thread count; --max-conns N
@@ -245,10 +246,10 @@ fn train(args: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let kernel = kernel_spec(args)?;
     let mut compression = CompressionConfig::new().with_max_classes_per_vector(group.max(1));
-    if kernel.is_some_and(|k| k.kind != KernelKind::Dense) {
-        // The lut and binary kernels require integer per-dimension
-        // scoring end to end; decorrelation whitens queries through f64
-        // arithmetic, so non-dense kernel requests turn it off.
+    if kernel.is_some_and(|k| k.kind == KernelKind::Binary) {
+        // The binary kernel binarizes per-dimension class weights, which
+        // cannot carry the query-side whitening projection, so it trains
+        // without decorrelation.
         compression = compression.with_decorrelate(false);
     }
     let mut config = LookHdConfig::new()

@@ -61,9 +61,10 @@ pub struct LookHdConfig {
     pub update_rule: UpdateRule,
     /// Which scoring kernel to build at fit time (see
     /// [`crate::score_kernel`]). [`crate::score_kernel::KernelKind::Auto`]
-    /// tries the score-LUT and falls back to the dense path when the model
-    /// is ineligible (counted as `kernel.fallback`); explicit `lut` /
-    /// `binary` requests make ineligibility a fit error instead.
+    /// builds the score-LUT (decorrelated models included) and falls back
+    /// to the dense path only when the tables exceed the byte budget or
+    /// the exact-integer bounds (counted as `kernel.fallback`); explicit
+    /// `lut` / `binary` requests make ineligibility a fit error instead.
     pub kernel: KernelSpec,
     /// RNG seed (level memory, position keys).
     pub seed: u64,
@@ -648,7 +649,7 @@ impl LookHdClassifier {
         );
         out.extend_from_slice(&compressed_bytes);
         // The kernel-section tag byte is mandatory (0 = none/dense,
-        // 1 = SLT1, 2 = BIN1) so every truncation of the stream stays
+        // 1 = SLT2, 2 = BIN1) so every truncation of the stream stays
         // detectable.
         match self.kernel.persist()? {
             None => out.push(KERNEL_SECTION_NONE),
@@ -1040,31 +1041,51 @@ mod tests {
     }
 
     #[test]
-    fn score_lut_falls_back_when_ineligible() {
+    fn paper_default_model_resolves_to_lut_and_only_starved_budgets_fall_back() {
         let (xs, ys) = blobs(10, 3, 15, 0.08, 22);
-        // Default compression decorrelates — whitening disqualifies the
-        // integer kernel, so Auto resolution falls back silently.
+        // Default compression decorrelates; the score-LUT carries the
+        // whitening as projection columns, so Auto resolves to it and
+        // serves the dense path's exact scores.
         let whitened = LookHdConfig::new()
             .with_dim(256)
-            .with_retrain_epochs(0)
+            .with_retrain_epochs(2)
             .with_kernel(KernelSpec::auto());
+        assert!(whitened.compression.decorrelate);
         let clf = LookHdClassifier::fit(&whitened, &xs, &ys).unwrap();
-        assert!(clf.score_lut().is_none());
-        assert_eq!(clf.kernel().name(), "dense");
-        // A one-byte budget can never hold the tables.
-        let starved = LookHdConfig::new()
-            .with_dim(256)
-            .with_retrain_epochs(0)
-            .with_compression(CompressionConfig::new().with_decorrelate(false))
+        assert!(clf.compressed().n_directions() > 0);
+        assert_eq!(clf.kernel().name(), "lut");
+        let lut = clf.score_lut().expect("whitened models build the LUT");
+        assert_eq!(lut.n_directions(), clf.compressed().n_directions());
+        let dense =
+            LookHdClassifier::fit(&whitened.clone().with_kernel(KernelSpec::dense()), &xs, &ys)
+                .unwrap();
+        for x in &xs {
+            assert_eq!(clf.scores(x).unwrap(), dense.scores(x).unwrap());
+            assert_eq!(clf.predict(x).unwrap(), dense.predict(x).unwrap());
+        }
+        // An explicit lut request builds too.
+        let explicit =
+            LookHdClassifier::fit(&whitened.clone().with_kernel(KernelSpec::lut()), &xs, &ys)
+                .unwrap();
+        assert_eq!(explicit.kernel().name(), "lut");
+        // A one-byte budget can never hold the tables: Auto falls back.
+        let starved = whitened
+            .clone()
             .with_kernel(KernelSpec::auto().with_budget_bytes(1));
         let clf = LookHdClassifier::fit(&starved, &xs, &ys).unwrap();
         assert!(clf.score_lut().is_none());
+        assert_eq!(clf.kernel().name(), "dense");
         assert!(clf.predict(&xs[0]).is_ok());
-        // Explicit (non-Auto) requests fail the fit instead.
-        assert!(
-            LookHdClassifier::fit(&whitened.clone().with_kernel(KernelSpec::lut()), &xs, &ys)
-                .is_err()
-        );
+        // Explicit (non-Auto) requests the model cannot satisfy fail the
+        // fit instead: a starved lut, and binary on a whitened model.
+        assert!(LookHdClassifier::fit(
+            &whitened
+                .clone()
+                .with_kernel(KernelSpec::lut().with_budget_bytes(1)),
+            &xs,
+            &ys
+        )
+        .is_err());
         assert!(LookHdClassifier::fit(
             &whitened.clone().with_kernel(KernelSpec::binary()),
             &xs,

@@ -24,6 +24,9 @@
 //! common direction out of each *query* before scoring and updating. The
 //! query-side projection is the same `D`-wide multiply-accumulate the
 //! shared product already needs, so it does not change the §IV cost story.
+//! Scoring applies it exactly in integers: [`crate::whiten`] splits each
+//! whitened score into the unwhitened signal minus one fixed-point
+//! correction per direction.
 //!
 //! For `k` beyond [`CompressionConfig::max_classes_per_vector`] classes are
 //! packed into multiple combined vectors ("exact mode", §VI-G).
@@ -36,6 +39,7 @@ use hdc::model::ClassModel;
 use hdc::{HdcError, Result};
 
 use crate::encoder::PositionKeys;
+use crate::whiten;
 
 /// How class hypervectors are magnitude-normalized before combination
 /// (the fixed-point analogue of the paper's `C'_i = C_i/‖C_i‖`).
@@ -333,6 +337,14 @@ pub struct CompressedModel {
     /// Unit-norm common directions removed by decorrelation (empty when
     /// decorrelation is disabled); queries are whitened against these.
     directions: Vec<Vec<f64>>,
+    /// The directions in fixed point, `round(dir·2^F)` (see
+    /// [`crate::whiten`]); derived from `directions`, never persisted.
+    directions_q: Vec<DenseHv>,
+    /// `Σ_d |dir_q[d]|` per direction, for the headroom checks.
+    direction_l1: Vec<i64>,
+    /// `u_q[c][t] = Σ_d P'_c[d]·C_{g(c)}[d]·dir_q[t][d]`, class-major;
+    /// refreshed whenever a combined vector changes.
+    projections: Vec<i64>,
     dim: usize,
 }
 
@@ -373,15 +385,67 @@ impl CompressedModel {
         for (label, class) in prepared.iter().enumerate() {
             combined[group_of[label]].add_bound_scaled(keys.key(label), class, 1);
         }
-        Ok(Self {
-            config: config.clone(),
+        Self::assemble(config.clone(), keys, groups, group_of, combined, directions)
+    }
+
+    /// Derives the fixed-point directions and class projections from the
+    /// persisted state (shared by [`CompressedModel::compress`] and
+    /// [`CompressedModel::from_bytes`]).
+    fn assemble(
+        config: CompressionConfig,
+        keys: PositionKeys,
+        groups: Vec<Vec<usize>>,
+        group_of: Vec<usize>,
+        combined: Vec<DenseHv>,
+        directions: Vec<Vec<f64>>,
+    ) -> Result<Self> {
+        let directions_q = directions
+            .iter()
+            .map(|dir| whiten::quantize_direction(dir))
+            .collect::<Result<Vec<_>>>()?;
+        let direction_l1 = directions_q.iter().map(whiten::l1_norm).collect();
+        let mut model = Self {
+            config,
             keys,
+            projections: vec![0; group_of.len() * directions.len()],
             groups,
             group_of,
+            dim: combined[0].dim(),
             combined,
             directions,
-            dim,
-        })
+            directions_q,
+            direction_l1,
+        };
+        for g in 0..model.combined.len() {
+            model.refresh_projections(g)?;
+        }
+        Ok(model)
+    }
+
+    /// Recomputes `u_q[c][·]` for the classes of group `g` after its
+    /// combined vector changed.
+    fn refresh_projections(&mut self, g: usize) -> Result<()> {
+        let n_dir = self.directions_q.len();
+        if n_dir == 0 {
+            return Ok(());
+        }
+        let combined = &self.combined[g];
+        whiten::check_split_headroom(
+            "compressed model",
+            i64::from(combined.max_abs()),
+            &self.direction_l1,
+        )?;
+        let mut w = vec![0i64; self.dim];
+        for (t, dir_q) in self.directions_q.iter().enumerate() {
+            let products = combined.as_slice().iter().zip(dir_q.as_slice());
+            for (p, (&c, &dq)) in w.iter_mut().zip(products) {
+                *p = i64::from(c) * i64::from(dq);
+            }
+            for &label in &self.groups[g] {
+                self.projections[label * n_dir + t] = Self::signed_sum(&w, self.keys.key(label));
+            }
+        }
+        Ok(())
     }
 
     /// The decorrelated, magnitude-normalized class hypervectors the
@@ -437,7 +501,8 @@ impl CompressedModel {
     }
 
     /// Projects the stored common directions out of a query (no-op without
-    /// decorrelation). Returns the whitened query as `f64` values.
+    /// decorrelation). Returns the whitened query as `f64` values, for
+    /// updates and the Eq. 5 analysis; scoring uses the exact split.
     fn whiten(&self, query: &DenseHv) -> Vec<f64> {
         let mut h: Vec<f64> = query.as_slice().iter().map(|&v| v as f64).collect();
         for dir in &self.directions {
@@ -460,14 +525,30 @@ impl CompressedModel {
         )
     }
 
-    /// Scores every class against a query: `D` multiplications per combined
-    /// vector (plus one `D`-wide projection when decorrelating), then
-    /// sign-flipped accumulation per class.
+    /// Scores every class against a query: the `f64` view
+    /// ([`whiten::to_score`]) of [`CompressedModel::scores_exact`], so
+    /// without decorrelation these are the integer scores themselves.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::DimensionMismatch`] on dimension disagreement.
     pub fn scores(&self, query: &DenseHv) -> Result<Vec<f64>> {
+        Ok(self
+            .scores_exact(query)?
+            .into_iter()
+            .map(whiten::to_score)
+            .collect())
+    }
+
+    /// Exact integer scores `S_c·2^{2F} − Σ_t a_t·u_q[c][t]` (see
+    /// [`crate::whiten`]): `D` multiplications per combined vector, then
+    /// sign-flipped accumulation per class (the Fig. 11 datapath), plus one
+    /// `D`-wide dot `a_t = h·dir_q` per whitening direction.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HdcError::DimensionMismatch`] on dimension disagreement.
+    pub fn scores_exact(&self, query: &DenseHv) -> Result<Vec<i128>> {
         let _span = obs::span("score");
         obs::counter("score.queries", 1);
         if query.dim() != self.dim {
@@ -476,40 +557,25 @@ impl CompressedModel {
                 actual: query.dim(),
             });
         }
-        let mut scores = vec![0.0f64; self.n_classes()];
-        if self.directions.is_empty() {
-            // Integer fast path (no whitening): exactly the Fig. 11
-            // datapath — shared products once, then per-class sign-flipped
-            // accumulation driven by the packed key words.
-            let mut v = vec![0i64; self.dim];
-            for (g, combined) in self.combined.iter().enumerate() {
-                let products = query.as_slice().iter().zip(combined.as_slice());
-                for (p, (&hd, &c)) in v.iter_mut().zip(products) {
-                    *p = hd as i64 * c as i64;
-                }
-                for &label in &self.groups[g] {
-                    scores[label] = Self::signed_sum_int(&v, self.keys.key(label));
-                }
+        let mut signal = vec![0i64; self.n_classes()];
+        let mut v = vec![0i64; self.dim];
+        for (g, combined) in self.combined.iter().enumerate() {
+            // The shared product vector v = H ⊙ C (the only multiplies).
+            let products = query.as_slice().iter().zip(combined.as_slice());
+            for (p, (&hd, &c)) in v.iter_mut().zip(products) {
+                *p = hd as i64 * c as i64;
             }
-        } else {
-            let h = self.whiten(query);
-            let mut v = vec![0.0f64; self.dim];
-            for (g, combined) in self.combined.iter().enumerate() {
-                // The shared product vector v = H ⊙ C (the only multiplies).
-                for (p, (&hd, &c)) in v.iter_mut().zip(h.iter().zip(combined.as_slice())) {
-                    *p = hd * c as f64;
-                }
-                for &label in &self.groups[g] {
-                    scores[label] = Self::signed_sum_f64(&v, self.keys.key(label));
-                }
+            for &label in &self.groups[g] {
+                signal[label] = Self::signed_sum(&v, self.keys.key(label));
             }
         }
-        Ok(scores)
+        let a: Vec<i64> = self.directions_q.iter().map(|d| query.dot(d)).collect();
+        whiten::exact_scores(&signal, &a, &self.projections)
     }
 
     /// `Σ_d ±v[d]` with signs from the packed key words (bit 1 ⇔ −1),
     /// through the branch-free sign select `(v ^ m) − m`.
-    fn signed_sum_int(v: &[i64], key: &BipolarHv) -> f64 {
+    fn signed_sum(v: &[i64], key: &BipolarHv) -> i64 {
         let mut sum: i64 = 0;
         for (v, block) in v.chunks(SIGN_BLOCK).zip(key.sign_blocks(0)) {
             for (&vd, m) in v.iter().zip(block.masks()) {
@@ -517,44 +583,17 @@ impl CompressedModel {
                 sum += (vd ^ m) - m;
             }
         }
-        sum as f64
+        sum
     }
 
-    /// `Σ_d ±v[d]` for the whitened (f64) path, branchless via sign-bit
-    /// flips driven by the packed key word. (The sum is a serial f64 chain
-    /// in dimension order, so it cannot vectorize; the per-bit shift here
-    /// measured ~4× faster than expanding `SignBlock` masks.)
-    fn signed_sum_f64(v: &[f64], key: &BipolarHv) -> f64 {
-        let mut s = 0.0f64;
-        for (wi, &word) in key.words().iter().enumerate() {
-            let base = wi * 64;
-            let end = (base + 64).min(v.len());
-            let mut bits = word;
-            for &vd in &v[base..end] {
-                let sign = (bits & 1) << 63;
-                bits >>= 1;
-                s += f64::from_bits(vd.to_bits() ^ sign);
-            }
-        }
-        s
-    }
-
-    /// Predicts the best-matching class.
+    /// Predicts the best-matching class: first-maximum argmax over the
+    /// exact integer scores.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::DimensionMismatch`] on dimension disagreement.
     pub fn predict(&self, query: &DenseHv) -> Result<usize> {
-        let scores = self.scores(query)?;
-        let mut best = 0;
-        let mut best_score = f64::NEG_INFINITY;
-        for (i, &s) in scores.iter().enumerate() {
-            if s > best_score {
-                best_score = s;
-                best = i;
-            }
-        }
-        Ok(best)
+        Ok(whiten::argmax(&self.scores_exact(query)?))
     }
 
     /// Eq. 5 decomposition for each class: compares the compressed score to
@@ -602,6 +641,10 @@ impl CompressedModel {
         let gw = self.group_of[wrong];
         self.combined[gc].add_bound_scaled(self.keys.key(correct), &h, 1);
         self.combined[gw].add_bound_scaled(self.keys.key(wrong), &h, -1);
+        self.refresh_projections(gc)?;
+        if gw != gc {
+            self.refresh_projections(gw)?;
+        }
         Ok(())
     }
 
@@ -658,7 +701,7 @@ impl CompressedModel {
                 *c += (base ^ mc) - mc;
             }
         }
-        Ok(())
+        self.refresh_projections(gc)
     }
 
     fn check_update(&self, correct: usize, wrong: usize, query: &DenseHv) -> Result<()> {
@@ -728,9 +771,29 @@ impl CompressedModel {
     }
 
     /// Number of principal common directions removed by decorrelation
-    /// (0 when `decorrelate=false` — the integer fast-path precondition).
+    /// (0 when `decorrelate=false`).
     pub fn n_directions(&self) -> usize {
         self.directions.len()
+    }
+
+    /// Whitening direction `t` in fixed point, `round(dir_t·2^F)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= self.n_directions()`.
+    pub fn direction_q(&self, t: usize) -> &DenseHv {
+        &self.directions_q[t]
+    }
+
+    /// `Σ_d |dir_q[d]|` of each fixed-point direction.
+    pub fn direction_l1(&self) -> &[i64] {
+        &self.direction_l1
+    }
+
+    /// The class projections `u_q[c][t] = Σ_d P'_c[d]·C_{g(c)}[d]·dir_q[t][d]`,
+    /// class-major (`c · n_directions + t`).
+    pub fn projections(&self) -> &[i64] {
+        &self.projections
     }
 
     /// The compression configuration.
@@ -975,15 +1038,8 @@ impl CompressedModel {
             groups[g].push(label);
             *slot = g;
         }
-        Ok(Self {
-            config,
-            keys,
-            groups,
-            group_of,
-            combined,
-            directions,
-            dim,
-        })
+        Self::assemble(config, keys, groups, group_of, combined, directions)
+            .map_err(|e| HdcError::invalid_dataset(format!("compressed model: {e}")))
     }
 }
 
@@ -1175,6 +1231,32 @@ mod tests {
     }
 
     #[test]
+    fn projections_track_retraining_updates() {
+        // Two directions and three groups, so updates touch one or two
+        // groups; the cached u_q must always equal a fresh derivation
+        // (which a serialization round trip recomputes from scratch).
+        let model = correlated_model(9, 700, 50, 6, 12);
+        let cfg = CompressionConfig::new()
+            .with_decorrelate_rounds(2)
+            .with_max_classes_per_vector(4);
+        let mut cm = CompressedModel::compress(&model, &cfg).unwrap();
+        assert_eq!(cm.n_directions(), 2);
+        let fresh = |cm: &CompressedModel| {
+            CompressedModel::from_bytes(&cm.to_bytes().unwrap())
+                .unwrap()
+                .projections()
+                .to_vec()
+        };
+        assert_eq!(cm.projections(), fresh(&cm).as_slice());
+        for (correct, wrong) in [(0, 5), (2, 3), (8, 1)] {
+            cm.update(correct, wrong, model.class(correct)).unwrap();
+            assert_eq!(cm.projections(), fresh(&cm).as_slice());
+        }
+        cm.update_paper_shift(1, 2, model.class(1)).unwrap();
+        assert_eq!(cm.projections(), fresh(&cm).as_slice());
+    }
+
+    #[test]
     fn paper_shift_update_also_moves_scores_but_differs_from_exact() {
         let model = random_model(4, 2000, 9);
         let cfg = CompressionConfig::new()
@@ -1268,7 +1350,7 @@ mod tests {
     }
 
     #[test]
-    fn signed_sum_fast_paths_match_reference() {
+    fn signed_sum_matches_reference() {
         let mut rng = StdRng::seed_from_u64(30);
         for dim in [64usize, 100, 2000] {
             let key = crate::encoder::PositionKeys::generate(1, dim, &mut rng);
@@ -1279,14 +1361,7 @@ mod tests {
                 .enumerate()
                 .map(|(d, &v)| if key.is_negative(d) { -v } else { v })
                 .sum();
-            assert_eq!(CompressedModel::signed_sum_int(&vi, key), reference as f64);
-            let vf: Vec<f64> = vi.iter().map(|&v| v as f64 * 0.5).collect();
-            let reference_f: f64 = vf
-                .iter()
-                .enumerate()
-                .map(|(d, &v)| if key.is_negative(d) { -v } else { v })
-                .sum();
-            assert!((CompressedModel::signed_sum_f64(&vf, key) - reference_f).abs() < 1e-9);
+            assert_eq!(CompressedModel::signed_sum(&vi, key), reference);
         }
     }
 }

@@ -19,9 +19,12 @@
 //! * [`retrain`] — staged retraining on the compressed model, with both
 //!   exact and paper-hardware update rules (§IV-D, §V-C);
 //! * [`score_lut`] — the score-LUT inference kernel: per-chunk, per-class
-//!   partial-score tables folding Eq. 5 scoring into the lookup table, so
-//!   predict is `m` table reads and `m·k` adds (§III, §V applied to the
+//!   partial-score tables (plus projection columns for decorrelated models)
+//!   folding Eq. 5 scoring into the lookup table, so predict is `m` table
+//!   reads and `m·(k + n_directions)` adds (§III, §V applied to the
 //!   scoring stage);
+//! * [`whiten`] — exact integer whitening: the fixed-point score split
+//!   both exact kernels finish through (§IV-C);
 //! * [`score_kernel`] — the pluggable [`score_kernel::ScoreKernel`] seam
 //!   the classifier scores through: dense, score-LUT, and bit-packed
 //!   binary Hamming kernels selected by [`score_kernel::KernelSpec`];
@@ -69,6 +72,7 @@ pub mod score_kernel;
 pub mod score_lut;
 pub mod sweep;
 pub mod trainer;
+pub mod whiten;
 
 pub use classifier::{LookHdClassifier, LookHdConfig};
 pub use compress::{CompressedModel, CompressionConfig};

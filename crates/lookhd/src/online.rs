@@ -26,6 +26,7 @@ use crate::counters::ChunkCounters;
 use crate::encoder::LookupEncoder;
 use crate::score_kernel::{build_kernel, BinaryKernel, KernelSpec};
 use crate::trainer::CounterTrainer;
+use crate::whiten;
 
 /// Hyperparameters of the online trainer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,7 +137,7 @@ impl OnlineTrainer {
         let cosines: Vec<f64> = (0..self.classes.len())
             .map(|c| self.cosine_to(c, encoded, h_norm))
             .collect();
-        let pred = argmax(&cosines);
+        let pred = whiten::argmax(&cosines);
         let lr = self.config.learning_rate;
         // Pull toward the true class, scaled by novelty.
         let alpha = lr * (1.0 - cosines[label]).max(0.0);
@@ -400,18 +401,6 @@ impl StreamingTrainer {
             self.config.seed,
         ))
     }
-}
-
-fn argmax(scores: &[f64]) -> usize {
-    let mut best = 0usize;
-    let mut best_score = f64::NEG_INFINITY;
-    for (i, &s) in scores.iter().enumerate() {
-        if s > best_score {
-            best_score = s;
-            best = i;
-        }
-    }
-    best
 }
 
 #[cfg(test)]

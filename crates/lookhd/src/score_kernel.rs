@@ -2,17 +2,17 @@
 //! scoring arithmetic.
 //!
 //! [`LookHdClassifier`](crate::classifier::LookHdClassifier) historically
-//! hard-wired two scoring paths (dense compressed scoring and the SLT1
+//! hard-wired two scoring paths (dense compressed scoring and the
 //! score-LUT) and dispatched between them ad hoc. This module replaces the
 //! branches with one object-safe [`ScoreKernel`] trait and three
 //! implementations:
 //!
 //! * [`DenseKernel`] — encode the query hypervector and score it against
-//!   the compressed model (Eq. 5). Works for every model, including
-//!   whitened (decorrelated) ones. The exact reference.
+//!   the compressed model (Eq. 5). Works for every model. The exact
+//!   reference.
 //! * [`LutKernel`] — the precomputed per-chunk partial-score tables of
-//!   [`crate::score_lut`]; bit-identical to dense, no hypervector on the
-//!   query path.
+//!   [`crate::score_lut`]; bit-identical to dense (whitened models
+//!   included), no hypervector on the query path.
 //! * [`BinaryKernel`] — class hypervectors mean-centered, binarized, and
 //!   bit-packed into `u64` words, scored by XOR + popcount Hamming
 //!   distance (the dense binary HD hardware optimizations of Schmuck et
@@ -23,9 +23,10 @@
 //!
 //! Which kernel a classifier builds is chosen by [`KernelSpec`]
 //! (`LookHdConfig::with_kernel`). [`KernelKind::Auto`] resolves
-//! `lut → dense`: it tries the score-LUT and silently falls back to the
-//! dense path when the model is ineligible (whitened, over budget, out of
-//! integer bound), counted as `kernel.fallback`. The binary kernel is
+//! `lut → dense`: it builds the score-LUT, so the paper's default
+//! (decorrelated) model resolves to `lut`, and falls back to the dense
+//! path only when the tables exceed the byte budget or the exact-integer
+//! bounds, counted as `kernel.fallback`. The binary kernel is
 //! approximate, so it is never chosen automatically — only an explicit
 //! [`KernelKind::Binary`] selects it.
 //!
@@ -50,14 +51,15 @@ use crate::chunking::ChunkLayout;
 use crate::compress::{serial_u32, CompressedModel, MAX_SERIAL_CLASSES, MAX_SERIAL_DIM};
 use crate::encoder::LookupEncoder;
 use crate::score_lut::ScoreLut;
+use crate::whiten;
 
 const BINARY_MAGIC: &[u8; 4] = b"BIN1";
 const WORD_BITS: usize = 64;
 
 /// LKS1 kernel-section tag: no kernel payload (dense scoring path).
 pub const KERNEL_SECTION_NONE: u8 = 0;
-/// LKS1 kernel-section tag: an SLT1 score-LUT section follows.
-pub const KERNEL_SECTION_SLT1: u8 = 1;
+/// LKS1 kernel-section tag: an SLT2 score-LUT section follows.
+pub const KERNEL_SECTION_SLT: u8 = 1;
 /// LKS1 kernel-section tag: a BIN1 binary-kernel section follows.
 pub const KERNEL_SECTION_BIN1: u8 = 2;
 
@@ -70,9 +72,9 @@ pub const MAX_MULTIFOLD: usize = 1 << 16;
 /// Which scoring kernel the classifier should build at fit time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
-    /// Resolve automatically: try the score-LUT, fall back to dense when
-    /// the model is ineligible. Never picks the (approximate) binary
-    /// kernel.
+    /// Resolve automatically: build the score-LUT, fall back to dense
+    /// when it exceeds the byte budget or the exact-integer bounds. Never
+    /// picks the (approximate) binary kernel.
     Auto,
     /// Always the dense compressed scoring path (the exact reference).
     #[default]
@@ -190,20 +192,6 @@ impl Default for KernelSpec {
     }
 }
 
-/// First-maximum argmax with the strict-`>` rule every scoring path in
-/// this workspace uses, so ties break identically across kernels.
-fn argmax_f64(scores: &[f64]) -> usize {
-    let mut best = 0;
-    let mut best_score = f64::NEG_INFINITY;
-    for (i, &s) in scores.iter().enumerate() {
-        if s > best_score {
-            best_score = s;
-            best = i;
-        }
-    }
-    best
-}
-
 /// Object-safe scoring kernel: the one seam through which
 /// [`LookHdClassifier`](crate::classifier::LookHdClassifier) scores and
 /// classifies queries. Batch variants stay on the classifier, which shards
@@ -228,9 +216,9 @@ pub trait ScoreKernel: fmt::Debug + Send + Sync {
         features: &[f64],
     ) -> Result<Vec<f64>>;
 
-    /// Predicted label: first-maximum argmax over [`ScoreKernel::scores`]
-    /// by default. Kernels override this when they can classify cheaper
-    /// than full scoring (the binary kernel's multifold early exit).
+    /// Predicted label: the first-maximum argmax of the kernel's scores
+    /// ([`whiten::argmax`]); exact kernels take it on the integer scores,
+    /// and the binary kernel may exit early (multifold).
     ///
     /// # Errors
     ///
@@ -240,9 +228,7 @@ pub trait ScoreKernel: fmt::Debug + Send + Sync {
         encoder: &LookupEncoder,
         compressed: &CompressedModel,
         features: &[f64],
-    ) -> Result<usize> {
-        Ok(argmax_f64(&self.scores(encoder, compressed, features)?))
-    }
+    ) -> Result<usize>;
 
     /// Whether scores are bit-identical to the dense reference path.
     fn is_exact(&self) -> bool;
@@ -314,8 +300,8 @@ pub fn build_kernel(
         KernelKind::Auto => match LutKernel::build(encoder, compressed, spec.budget_bytes) {
             Ok(kernel) => Ok(Box::new(kernel)),
             Err(_) => {
-                // Ineligible (whitened / over budget / out of bound): the
-                // dense path serves identically, just slower.
+                // Over budget or out of bound: the dense path serves
+                // identically, just slower.
                 obs::counter("kernel.fallback", 1);
                 Ok(Box::new(DenseKernel))
             }
@@ -332,7 +318,7 @@ pub fn build_kernel(
 pub fn kernel_from_section(tag: u8, payload: &[u8]) -> Result<Box<dyn ScoreKernel>> {
     match tag {
         KERNEL_SECTION_NONE => Ok(Box::new(DenseKernel)),
-        KERNEL_SECTION_SLT1 => Ok(Box::new(LutKernel::new(ScoreLut::from_bytes(payload)?))),
+        KERNEL_SECTION_SLT => Ok(Box::new(LutKernel::new(ScoreLut::from_bytes(payload)?))),
         KERNEL_SECTION_BIN1 => Ok(Box::new(BinaryKernel::from_bytes(payload)?)),
         other => Err(HdcError::invalid_dataset(format!(
             "unknown kernel flag {other}"
@@ -341,9 +327,8 @@ pub fn kernel_from_section(tag: u8, payload: &[u8]) -> Result<Box<dyn ScoreKerne
 }
 
 /// The dense scoring path (Eq. 5): encode the query hypervector and score
-/// it against the compressed model. Stateless; works for every model,
-/// including whitened ones. The exact reference every other kernel is
-/// measured against.
+/// it against the compressed model. Stateless; works for every model. The
+/// exact reference every other kernel is measured against.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DenseKernel;
 
@@ -402,8 +387,8 @@ impl ScoreKernel for DenseKernel {
 }
 
 /// The score-LUT kernel: [`ScoreLut`] behind the [`ScoreKernel`] seam.
-/// Bit-identical to [`DenseKernel`] on every eligible model (see
-/// [`crate::score_lut`] for the exactness argument).
+/// Bit-identical to [`DenseKernel`] on every model it builds for, whitened
+/// ones included (see [`crate::score_lut`] for the exactness argument).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LutKernel {
     lut: ScoreLut,
@@ -473,15 +458,16 @@ impl ScoreKernel for LutKernel {
 
     fn describe(&self) -> String {
         format!(
-            "{} chunk tables x {} classes, {} B precomputed",
+            "{} chunk tables x ({} classes + {} whitening projections), {} B precomputed",
             self.lut.n_chunks(),
             self.lut.n_classes(),
+            self.lut.n_directions(),
             self.lut.size_bytes()
         )
     }
 
     fn persist(&self) -> Result<Option<(u8, Vec<u8>)>> {
-        Ok(Some((KERNEL_SECTION_SLT1, self.lut.to_bytes()?)))
+        Ok(Some((KERNEL_SECTION_SLT, self.lut.to_bytes()?)))
     }
 
     fn validate_against(&self, layout: &ChunkLayout, compressed: &CompressedModel) -> Result<()> {
@@ -566,10 +552,11 @@ impl BinaryKernel {
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::InvalidConfig`] for a whitened model (the
-    /// per-dimension integer weights the binarization quantizes do not
-    /// exist under f64 projections) and [`HdcError::DimensionMismatch`]
-    /// when the encoder and model disagree on `D`.
+    /// Returns [`HdcError::InvalidConfig`] for a whitened model (whitening
+    /// is a `D×D` projection of the query, which a per-dimension sign
+    /// binarization of the class weights cannot represent) and
+    /// [`HdcError::DimensionMismatch`] when the encoder and model disagree
+    /// on `D`.
     pub fn build(
         encoder: &LookupEncoder,
         compressed: &CompressedModel,
@@ -579,8 +566,9 @@ impl BinaryKernel {
         if compressed.n_directions() != 0 {
             return Err(HdcError::invalid_config(
                 "kernel",
-                "whitened (decorrelated) models score through f64 projections; \
-                 the binary Hamming kernel requires decorrelate=false",
+                "whitened (decorrelated) models project every query through \
+                 their common directions; the binary Hamming kernel requires \
+                 decorrelate=false",
             ));
         }
         let dim = encoder.dim();
@@ -702,7 +690,7 @@ impl BinaryKernel {
         let n_words = q_words.len();
         let folds = self.multifold.min(n_words);
         if folds < 2 {
-            return argmax_i64(&self.scores_packed(query));
+            return whiten::argmax(&self.scores_packed(query));
         }
         let k = self.classes.len();
         let mut disagree = vec![0i64; k];
@@ -904,20 +892,6 @@ fn top1_margin(disagree: &[i64]) -> (usize, i64) {
         second_v - best_v
     };
     (best, margin)
-}
-
-/// First-maximum argmax over i64 scores (strict `>`), matching
-/// [`ScoreLut::predict`] and `CompressedModel::predict`.
-fn argmax_i64(scores: &[i64]) -> usize {
-    let mut best = 0;
-    let mut best_score = i64::MIN;
-    for (i, &s) in scores.iter().enumerate() {
-        if s > best_score {
-            best_score = s;
-            best = i;
-        }
-    }
-    best
 }
 
 impl ScoreKernel for BinaryKernel {
@@ -1122,7 +1096,7 @@ mod tests {
     }
 
     #[test]
-    fn explicit_kernels_reject_whitened_models() {
+    fn whitened_models_resolve_to_lut_but_binary_rejects_them() {
         let mut rng = StdRng::seed_from_u64(3);
         let levels = LevelMemory::generate(64, 4, LevelScheme::RandomFlips, &mut rng).unwrap();
         let samples: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
@@ -1136,11 +1110,21 @@ mod tests {
         let model = ClassModel::from_classes(classes).unwrap();
         let whitened = CompressedModel::compress(&model, &CompressionConfig::new()).unwrap();
         assert!(whitened.n_directions() > 0);
+        // The binary kernel still refuses whitened models…
         assert!(BinaryKernel::build(&encoder, &whitened, 0).is_err());
         assert!(build_kernel(&encoder, &whitened, &KernelSpec::binary()).is_err());
-        // Auto degrades to dense instead.
-        let auto = build_kernel(&encoder, &whitened, &KernelSpec::auto()).unwrap();
-        assert_eq!(auto.name(), "dense");
+        // …while auto and explicit lut both build the exact score-LUT.
+        for spec in [KernelSpec::auto(), KernelSpec::lut()] {
+            let kernel = build_kernel(&encoder, &whitened, &spec).unwrap();
+            assert_eq!(kernel.name(), "lut", "spec {spec:?}");
+            kernel.validate_against(&layout, &whitened).unwrap();
+        }
+        // A budget-starved auto request still falls back to dense.
+        let starved = KernelSpec::auto().with_budget_bytes(1);
+        assert_eq!(
+            build_kernel(&encoder, &whitened, &starved).unwrap().name(),
+            "dense"
+        );
     }
 
     /// The packed-word scoring must equal a naive per-dimension reference
@@ -1221,7 +1205,7 @@ mod tests {
                 // pinned by predict_packed on an ambiguous (tied) query.
                 let h = encoder.encode(&features).unwrap();
                 let q = binarize(h.as_slice());
-                let full = argmax_i64(&off.scores_packed(&q));
+                let full = whiten::argmax(&off.scores_packed(&q));
                 let folded = multi.predict_packed(&q);
                 // Escalation only ever *accepts the running argmax
                 // early*; verify agreement against the exact rule by
@@ -1246,7 +1230,7 @@ mod tests {
         let query = BipolarHv::random(192, &mut rng);
         assert_eq!(
             multi.predict_packed(&query),
-            argmax_i64(&off.scores_packed(&query))
+            whiten::argmax(&off.scores_packed(&query))
         );
     }
 

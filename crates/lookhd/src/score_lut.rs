@@ -19,53 +19,75 @@
 //! materialized on the query path. This applies the paper's
 //! arithmetic-to-memory substitution (§III, §V) to the scoring stage.
 //!
+//! ## Whitened models
+//!
+//! Decorrelated models whiten each query against the stored common
+//! directions. [`crate::whiten`] splits such a score into the signal above
+//! minus `Σ_t a_t·u_q[c][t]`, where `a_t = h·dir_q` is linear in `h` too:
+//! `a_t = Σ_i A_i[t][addr_i]` with `A_i[t][addr] = (P_i ⊙ LUT_i[addr])·dir_q`.
+//! So each table row carries `n_directions` projection columns after its
+//! `k` class columns, a predict still makes `m` contiguous gathers, and
+//! the gathered `(S, a)` finish through the same [`whiten::exact_scores`]
+//! as the dense path.
+//!
 //! ## Exactness
 //!
 //! All quantities are integers and `i64` addition is associative, so the
-//! gathered total equals the dense integer path *bit for bit* provided
+//! gathered totals equal the dense path's integers *bit for bit* provided
 //! nothing overflows. [`ScoreLut::build`] enforces
-//! `D · max|C| · n ≤ 2^52`, which bounds every partial sum and keeps the
-//! final scores exactly representable as `f64` — the dense path's return
-//! type — so argmax and scores are identical, not merely close.
+//! `D · max|C| · n ≤ 2^52` for the signal columns, `n · L1(dir_q) ≤ 2^62`
+//! for the projection columns, and that the combine cannot leave `i128`.
 //!
-//! The kernel is only valid *without* decorrelation: whitening projects
-//! queries through `f64` arithmetic whose rounding does not commute with
-//! the per-chunk decomposition. [`ScoreLut::build`] rejects whitened
-//! models and the classifier falls back to the dense path.
+//! ## Build
 //!
-//! ## Build cost
+//! Every entry is a sum over the chunk's digits of one dot product, since
+//! `LUT(addr) = Σ_j ρ^j(L_{digit_j})`:
 //!
-//! The naive build (synthesize all `q^r` rows, bind, dot) costs
-//! `O(m·k·q^r·D)`. Instead we use the row structure
-//! `LUT(addr) = Σ_j ρ^j(L_{digit_j})`: with
-//! `T_i[c][j][lv] = (P'_c ⊙ P_i ⊙ ρ^j(L_lv)) · C`, each table entry is
-//! `S_i[c][addr] = Σ_j T_i[c][j][digit_j(addr)]` — only `m·k·r·q` masked
-//! dot products of length `D`, then `r` adds per entry.
+//! ```text
+//! T_i[col][j][lv] = W_col · (P_i ⊙ ρ^j(L_lv)),   entry(addr, col) = Σ_j T_i[col][j][digit_j]
+//! ```
+//!
+//! with weights `W_c = P'_c ⊙ C_{g(c)}` for class columns and `W = dir_q`
+//! for projection columns. That is `(k + n_dir)·m·r·q` dots of length `D`
+//! against bipolar keys. The build computes each column's weights once and
+//! turns them into byte-indexed subset-sum tables: for every 8 dimensions,
+//! `table[b] = Σ_{bit i of b set} W[8g + i]`, so a dot against a packed key
+//! is `ΣW − 2·Σ_bytes table[byte]` — `D/8` lookups instead of `D`
+//! sign-selects. The `r·q` effective keys `P_i ⊙ ρ^j(L_lv)` are XORed once
+//! per chunk and shared by every column. Rows are then filled digit by
+//! digit: a prefix row over the first `r − 1` digits plus one `(k + n_dir)`
+//! wide add per address.
 
-use hdc::hv::BipolarHv;
 use hdc::{HdcError, Result};
 
 use crate::chunking::ChunkLayout;
 use crate::compress::{serial_u32, CompressedModel, MAX_SERIAL_CLASSES, MAX_SERIAL_FEATURES};
 use crate::encoder::LookupEncoder;
+use crate::whiten;
+
+const MAGIC: &[u8; 4] = b"SLT2";
+
+/// Dimensions per subset-sum table: one byte of a packed key word.
+const TABLE_LANES: usize = 8;
+
+/// Entries per subset-sum table, one per byte value.
+const TABLE_ENTRIES: usize = 1 << TABLE_LANES;
 
 /// Ceiling on serialized/loaded score-LUT entries (2^27 ≈ 134M entries,
 /// 1 GiB of `i64`) — same role as [`crate::compress::MAX_REGEN_ELEMENTS`]:
 /// a corrupt header must not request a multi-GB allocation.
 pub const MAX_SERIAL_SCORE_ENTRIES: usize = 1 << 27;
 
-/// Largest score magnitude the kernel accepts: `2^52`, chosen so every
-/// partial sum fits `i64` with headroom *and* round-trips `i64 → f64`
-/// exactly (f64 mantissa is 53 bits). The dense path returns scores as
-/// `f64`, so this bound is what makes the two paths bit-identical rather
-/// than approximately equal.
+/// Largest signal magnitude the kernel accepts: `2^52`, chosen so every
+/// partial sum fits `i64` with headroom *and* an unwhitened score
+/// round-trips to `f64` exactly (f64 mantissa is 53 bits).
 pub const MAX_EXACT_SCORE: i64 = 1 << 52;
 
-/// Rejects a model whose worst-case score `D · max|C| · n` could exceed
+/// Rejects a model whose worst-case signal `D · max|C| · n` could exceed
 /// [`MAX_EXACT_SCORE`]. Every per-chunk partial score is bounded by
-/// `D · max|C| · r` and the full score by `D · max|C| · n`, so this single
+/// `D · max|C| · r` and the full signal by `D · max|C| · n`, so this single
 /// product check covers both the `i64` accumulation and the exact-`f64`
-/// representability of the result.
+/// representability of an unwhitened score.
 ///
 /// # Errors
 ///
@@ -87,21 +109,26 @@ pub fn check_exact_score_bound(dim: usize, max_abs_combined: i64, n_features: us
     }
 }
 
-/// The precomputed per-chunk, per-class partial-score tables
-/// `S_i[c][addr] = (P'_c ⊙ C ⊙ P_i) · LUT_i[addr]`.
+/// The precomputed per-chunk tables: for every chunk `i` and address, `k`
+/// partial class signals `S_i[c][addr] = (P'_c ⊙ C ⊙ P_i) · LUT_i[addr]`
+/// followed by `n_directions` projection partials `A_i[t][addr]`.
 ///
 /// Storage is one flat `i64` vector, chunk-major then address-major then
-/// class-minor: the entry for `(chunk i, addr, class c)` lives at
-/// `offsets[i] + addr·k + c`, so one prediction gathers `m` contiguous
-/// `k`-length rows — cache-friendly and trivially vectorizable.
+/// column-minor: the entry for `(chunk i, addr, column)` lives at
+/// `offsets[i] + addr·(k + n_directions) + column`, so one prediction
+/// gathers `m` contiguous rows — cache-friendly and trivially
+/// vectorizable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoreLut {
     /// Flat partial scores (see struct docs for the layout).
     entries: Vec<i64>,
     /// Entry offset of each chunk's table; length `m + 1`, so chunk `i`
-    /// spans `offsets[i]..offsets[i+1]` and holds `rows_i · k` entries.
+    /// spans `offsets[i]..offsets[i+1]` and holds `rows_i · width` entries.
     offsets: Vec<usize>,
     n_classes: usize,
+    n_directions: usize,
+    /// The compressed model's `u_q[c][t]`, class-major, for the combine.
+    projections: Vec<i64>,
 }
 
 impl ScoreLut {
@@ -110,25 +137,16 @@ impl ScoreLut {
     /// # Errors
     ///
     /// Returns [`HdcError::InvalidConfig`] when the model is ineligible —
-    /// whitening directions present (decorrelation breaks integer
-    /// exactness), the table would exceed `budget_bytes` or
-    /// [`MAX_SERIAL_SCORE_ENTRIES`], or the worst-case score violates
-    /// [`MAX_EXACT_SCORE`] — and [`HdcError::DimensionMismatch`] when the
-    /// encoder and compressed model disagree on `D`. Callers treat these
-    /// as "fall back to the dense path".
+    /// the table would exceed `budget_bytes` or
+    /// [`MAX_SERIAL_SCORE_ENTRIES`], or a worst-case score violates the
+    /// exact-integer bounds — and [`HdcError::DimensionMismatch`] when the
+    /// encoder and compressed model disagree on `D`.
     pub fn build(
         encoder: &LookupEncoder,
         compressed: &CompressedModel,
         budget_bytes: usize,
     ) -> Result<Self> {
         let _span = obs::span("score_lut_build");
-        if compressed.n_directions() != 0 {
-            return Err(HdcError::invalid_config(
-                "score_lut",
-                "whitened (decorrelated) models score through f64 projections; \
-                 the integer score-LUT kernel requires decorrelate=false",
-            ));
-        }
         let levels = encoder.lut().levels();
         let dim = levels.dim();
         if dim != compressed.dim() {
@@ -139,7 +157,8 @@ impl ScoreLut {
         }
         let layout = *encoder.layout();
         let k = compressed.n_classes();
-        let total_entries = (k as u128).saturating_mul(layout.total_table_rows());
+        let width = k + compressed.n_directions();
+        let total_entries = (width as u128).saturating_mul(layout.total_table_rows());
         let cap = (budget_bytes / std::mem::size_of::<i64>()).min(MAX_SERIAL_SCORE_ENTRIES);
         if total_entries > cap as u128 {
             return Err(HdcError::invalid_config(
@@ -155,72 +174,41 @@ impl ScoreLut {
             .map(|g| compressed.combined(g).max_abs() as i64)
             .max()
             .unwrap_or(0);
-        check_exact_score_bound(dim, max_abs, layout.n_features())?;
+        let n = layout.n_features();
+        check_exact_score_bound(dim, max_abs, n)?;
+        let l1 = compressed.direction_l1();
+        whiten::check_split_headroom("score_lut", n as i64, l1)?;
+        whiten::check_combine_headroom(dim as i64 * max_abs * n as i64, n as i64, max_abs, l1)?;
 
-        let m = layout.n_chunks();
         let q = layout.q();
         let r_max = layout.chunk_len(0);
-        // Rotated level hypervectors ρ^j(L_lv), shared by every chunk.
-        let rotated: Vec<Vec<BipolarHv>> = (0..r_max)
-            .map(|j| (0..q).map(|lv| levels.level(lv).rotated(j)).collect())
-            .collect();
-        let combined_i64: Vec<Vec<i64>> = (0..compressed.n_vectors())
-            .map(|g| {
-                compressed
-                    .combined(g)
-                    .as_slice()
-                    .iter()
-                    .map(|&v| v as i64)
-                    .collect()
-            })
-            .collect();
-        // Per-chunk entry bound for the debug overflow check below.
-        let chunk_bound = (dim as i64) * max_abs * (r_max as i64);
-
+        let keys = Self::effective_keys(encoder);
+        let t = Self::key_dots(compressed, &keys, dim.div_ceil(64));
         let mut entries = Vec::with_capacity(total_entries as usize);
-        let mut offsets = Vec::with_capacity(m + 1);
+        let mut offsets = Vec::with_capacity(layout.n_chunks() + 1);
         offsets.push(0usize);
-        // T[c][j][lv] laid out flat at c·(r_max·q) + j·q + lv; rebuilt per
-        // chunk (only the first chunk_len·q slots per class are used).
-        let mut t = vec![0i64; k * r_max * q];
-        for chunk in 0..m {
-            let chunk_len = layout.chunk_len(chunk);
-            let rows = layout.table_rows(chunk);
-            let p_i = encoder.positions().key(chunk);
-            for c in 0..k {
-                let sign = compressed.key(c).bind(p_i);
-                let weights = &combined_i64[compressed.group_of(c)];
-                let base = c * r_max * q;
-                for (j, rotated_row) in rotated.iter().enumerate().take(chunk_len) {
-                    for (lv, rot) in rotated_row.iter().enumerate() {
-                        t[base + j * q + lv] = Self::masked_sum(weights, &sign.bind(rot));
+        let (mut prefix, mut next) = (Vec::new(), Vec::new());
+        for (chunk, tc) in t.chunks_exact(r_max * q * width).enumerate() {
+            let len = layout.chunk_len(chunk);
+            // T row of digit position j at level lv.
+            let t_row = |j: usize, lv: usize| &tc[(j * q + lv) * width..][..width];
+            // Prefix rows over the first len − 1 digits, most-significant
+            // first (matching `ChunkLayout::address`): row a·q + lv of the
+            // next digit is row a plus T[j][lv].
+            prefix.clear();
+            prefix.resize(width, 0i64);
+            for j in 0..len - 1 {
+                next.clear();
+                for row in prefix.chunks_exact(width) {
+                    for lv in 0..q {
+                        next.extend(row.iter().zip(t_row(j, lv)).map(|(a, b)| a + b));
                     }
                 }
+                std::mem::swap(&mut prefix, &mut next);
             }
-            // Walk addresses 0..rows with a base-q odometer over the digit
-            // vector (most-significant digit first, matching
-            // `ChunkLayout::address`): the next address increments the
-            // least-significant (last) digit with carry.
-            let mut digits = vec![0usize; chunk_len];
-            for _addr in 0..rows {
-                for c in 0..k {
-                    let base = c * r_max * q;
-                    let mut s = 0i64;
-                    for (j, &dg) in digits.iter().enumerate() {
-                        s += t[base + j * q + dg];
-                    }
-                    debug_assert!(
-                        s.abs() <= chunk_bound,
-                        "chunk {chunk} partial score {s} exceeds bound {chunk_bound}"
-                    );
-                    entries.push(s);
-                }
-                for d in digits.iter_mut().rev() {
-                    *d += 1;
-                    if *d < q {
-                        break;
-                    }
-                    *d = 0;
+            for row in prefix.chunks_exact(width) {
+                for lv in 0..q {
+                    entries.extend(row.iter().zip(t_row(len - 1, lv)).map(|(a, b)| a + b));
                 }
             }
             offsets.push(entries.len());
@@ -229,35 +217,94 @@ impl ScoreLut {
             entries,
             offsets,
             n_classes: k,
+            n_directions: compressed.n_directions(),
+            projections: compressed.projections().to_vec(),
         })
     }
 
-    /// `Σ_d ±v[d]` with signs from the packed bipolar key (bit 1 ⇔ −1),
-    /// computed as `Σv − 2·Σ_{negative dims} v` — the same branchless
-    /// masked sum as the dense path's per-class accumulation.
-    fn masked_sum(v: &[i64], key: &BipolarHv) -> i64 {
-        let total: i64 = v.iter().sum();
-        let mut negative: i64 = 0;
-        for (wi, &word) in key.words().iter().enumerate() {
-            let base = wi * 64;
-            let end = (base + 64).min(v.len());
-            let mut bits = word;
-            for &vd in &v[base..end] {
-                negative += vd & -((bits & 1) as i64);
-                bits >>= 1;
+    /// The packed words of every effective key `P_i ⊙ ρ^j(L_lv)`, slot
+    /// `(i·r + j)·q + lv` (slots past a short last chunk stay zero).
+    fn effective_keys(encoder: &LookupEncoder) -> Vec<u64> {
+        let layout = encoder.layout();
+        let levels = encoder.lut().levels();
+        let (q, r_max) = (layout.q(), layout.chunk_len(0));
+        let n_words = levels.dim().div_ceil(64);
+        let rotated: Vec<Vec<u64>> = (0..r_max)
+            .flat_map(|j| (0..q).map(move |lv| levels.level(lv).rotated(j).words().to_vec()))
+            .collect();
+        let mut keys = vec![0u64; layout.n_chunks() * r_max * q * n_words];
+        for (chunk, slots) in keys.chunks_exact_mut(r_max * q * n_words).enumerate() {
+            let p = encoder.positions().key(chunk).words();
+            let used = layout.chunk_len(chunk) * q;
+            for (slot, rot) in slots.chunks_exact_mut(n_words).zip(&rotated).take(used) {
+                for ((s, &a), &b) in slot.iter_mut().zip(p).zip(rot) {
+                    *s = a ^ b;
+                }
             }
         }
-        total - 2 * negative
+        keys
     }
 
-    /// Per-class integer scores for pre-extracted chunk addresses: `m`
-    /// contiguous table gathers and `m·k` adds.
+    /// `T[slot][col] = W_col · key_slot` for every effective key, as a flat
+    /// slot-major array of `k + n_directions` columns (see the module docs
+    /// for the subset-sum tables).
+    fn key_dots(compressed: &CompressedModel, keys: &[u64], n_words: usize) -> Vec<i64> {
+        let k = compressed.n_classes();
+        let width = k + compressed.n_directions();
+        let slots = keys.len() / n_words;
+        let lanes = n_words * 64;
+        let mut t = vec![0i64; slots * width];
+        let mut w = vec![0i64; lanes];
+        let mut table = vec![0i64; lanes / TABLE_LANES * TABLE_ENTRIES];
+        for col in 0..width {
+            if col < k {
+                let key = compressed.key(col);
+                let combined = compressed.combined(compressed.group_of(col)).as_slice();
+                for (d, (wd, &c)) in w.iter_mut().zip(combined).enumerate() {
+                    let c = i64::from(c);
+                    *wd = if key.is_negative(d) { -c } else { c };
+                }
+            } else {
+                let dir_q = compressed.direction_q(col - k).as_slice();
+                for (wd, &v) in w.iter_mut().zip(dir_q) {
+                    *wd = i64::from(v);
+                }
+            }
+            for (group, sums) in w
+                .chunks_exact(TABLE_LANES)
+                .zip(table.chunks_exact_mut(TABLE_ENTRIES))
+            {
+                for b in 1..sums.len() {
+                    sums[b] = sums[b & (b - 1)] + group[b.trailing_zeros() as usize];
+                }
+            }
+            let total: i64 = w.iter().sum();
+            for (slot, key) in keys.chunks_exact(n_words).enumerate() {
+                let mut negative = 0i64;
+                for (word, tables) in key
+                    .iter()
+                    .zip(table.chunks_exact(64 * TABLE_ENTRIES / TABLE_LANES))
+                {
+                    for (byte, sums) in tables.chunks_exact(TABLE_ENTRIES).enumerate() {
+                        negative += sums[(word >> (byte * TABLE_LANES)) as usize % TABLE_ENTRIES];
+                    }
+                }
+                t[slot * width + col] = total - 2 * negative;
+            }
+        }
+        t
+    }
+
+    /// Exact per-class scores for pre-extracted chunk addresses: `m`
+    /// contiguous row gathers and `m·(k + n_directions)` adds, finished by
+    /// [`whiten::exact_scores`] — the same integers as
+    /// [`CompressedModel::scores_exact`].
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::InvalidDataset`] when the address count differs
     /// from `m` or an address exceeds its chunk's table.
-    pub fn scores_i64(&self, addrs: &[u64]) -> Result<Vec<i64>> {
+    pub fn scores_exact(&self, addrs: &[u64]) -> Result<Vec<i128>> {
         let _span = obs::span("score_lut");
         obs::counter("kernel.lut.queries", 1);
         let m = self.n_chunks();
@@ -267,54 +314,53 @@ impl ScoreLut {
                 addrs.len()
             )));
         }
-        let k = self.n_classes;
-        let mut scores = vec![0i64; k];
+        let width = self.width();
+        let mut acc = vec![0i64; width];
         for (i, &addr) in addrs.iter().enumerate() {
-            let start = self.offsets[i];
-            let rows = (self.offsets[i + 1] - start) / k;
-            if addr as usize >= rows {
-                return Err(HdcError::invalid_dataset(format!(
-                    "address {addr} out of range for chunk {i} ({rows} rows)"
-                )));
-            }
-            let row = &self.entries[start + addr as usize * k..start + (addr as usize + 1) * k];
-            for (s, &v) in scores.iter_mut().zip(row) {
+            let (start, end) = (self.offsets[i], self.offsets[i + 1]);
+            let at = usize::try_from(addr)
+                .ok()
+                .and_then(|a| a.checked_mul(width))
+                .filter(|&at| at < end - start)
+                .ok_or_else(|| {
+                    HdcError::invalid_dataset(format!(
+                        "address {addr} out of range for chunk {i} ({} rows)",
+                        self.rows(i)
+                    ))
+                })?;
+            let row = &self.entries[start + at..][..width];
+            for (s, &v) in acc.iter_mut().zip(row) {
                 *s += v;
             }
         }
         obs::counter("kernel.lut.table_reads", m as u64);
-        Ok(scores)
+        let (signal, a) = acc.split_at(self.n_classes);
+        whiten::exact_scores(signal, a, &self.projections)
     }
 
     /// Per-class scores as `f64` — exactly equal to the dense path's
-    /// output (the build-time [`MAX_EXACT_SCORE`] bound guarantees the
-    /// `i64 → f64` cast is lossless).
+    /// output (both are [`whiten::to_score`] of the same integers).
     ///
     /// # Errors
     ///
-    /// Same as [`ScoreLut::scores_i64`].
+    /// Same as [`ScoreLut::scores_exact`].
     pub fn scores(&self, addrs: &[u64]) -> Result<Vec<f64>> {
-        Ok(self.scores_i64(addrs)?.iter().map(|&s| s as f64).collect())
+        Ok(self
+            .scores_exact(addrs)?
+            .into_iter()
+            .map(whiten::to_score)
+            .collect())
     }
 
-    /// Argmax over [`ScoreLut::scores_i64`] — first maximum wins, the same
-    /// strict-`>` rule as [`CompressedModel::predict`], so ties break
+    /// Argmax over [`ScoreLut::scores_exact`] — first maximum wins, the
+    /// same rule as [`CompressedModel::predict`], so ties break
     /// identically.
     ///
     /// # Errors
     ///
-    /// Same as [`ScoreLut::scores_i64`].
+    /// Same as [`ScoreLut::scores_exact`].
     pub fn predict(&self, addrs: &[u64]) -> Result<usize> {
-        let scores = self.scores_i64(addrs)?;
-        let mut best = 0;
-        let mut best_score = i64::MIN;
-        for (i, &s) in scores.iter().enumerate() {
-            if s > best_score {
-                best_score = s;
-                best = i;
-            }
-        }
-        Ok(best)
+        Ok(whiten::argmax(&self.scores_exact(addrs)?))
     }
 
     /// Number of chunk tables `m`.
@@ -322,9 +368,19 @@ impl ScoreLut {
         self.offsets.len() - 1
     }
 
-    /// Number of classes `k` per table row.
+    /// Number of classes `k` (signal columns per row).
     pub fn n_classes(&self) -> usize {
         self.n_classes
+    }
+
+    /// Number of whitening directions (projection columns per row).
+    pub fn n_directions(&self) -> usize {
+        self.n_directions
+    }
+
+    /// Columns per row: `k + n_directions`.
+    fn width(&self) -> usize {
+        self.n_classes + self.n_directions
     }
 
     /// Table rows of chunk `i` (`q^len(i)`).
@@ -333,18 +389,18 @@ impl ScoreLut {
     ///
     /// Panics if `i >= self.n_chunks()`.
     pub fn rows(&self, i: usize) -> usize {
-        (self.offsets[i + 1] - self.offsets[i]) / self.n_classes
+        (self.offsets[i + 1] - self.offsets[i]) / self.width()
     }
 
     /// Bytes held by the precomputed tables.
     pub fn size_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<i64>()
+        (self.entries.len() + self.projections.len()) * std::mem::size_of::<i64>()
     }
 
     /// Checks this kernel is consistent with the layout and compressed
-    /// model it will serve — chunk count, per-chunk row counts, class
-    /// count, and the no-whitening eligibility rule. Used after
-    /// deserialization, where the three sections arrive independently.
+    /// model it will serve — chunk count, per-chunk row counts, the column
+    /// count `k + n_directions`, and the class projections. Used after
+    /// deserialization, where the sections arrive independently.
     ///
     /// # Errors
     ///
@@ -354,11 +410,6 @@ impl ScoreLut {
         layout: &ChunkLayout,
         compressed: &CompressedModel,
     ) -> Result<()> {
-        if compressed.n_directions() != 0 {
-            return Err(HdcError::invalid_dataset(
-                "score-LUT section present on a whitened (decorrelated) model",
-            ));
-        }
         if self.n_chunks() != layout.n_chunks() {
             return Err(HdcError::invalid_dataset(format!(
                 "score-LUT has {} chunk tables, layout expects {}",
@@ -366,12 +417,21 @@ impl ScoreLut {
                 layout.n_chunks()
             )));
         }
-        if self.n_classes != compressed.n_classes() {
+        if self.n_classes != compressed.n_classes()
+            || self.n_directions != compressed.n_directions()
+        {
             return Err(HdcError::invalid_dataset(format!(
-                "score-LUT has {} classes, compressed model has {}",
+                "score-LUT has {} + {} columns, compressed model has {} classes + {} directions",
                 self.n_classes,
-                compressed.n_classes()
+                self.n_directions,
+                compressed.n_classes(),
+                compressed.n_directions()
             )));
+        }
+        if self.projections != compressed.projections() {
+            return Err(HdcError::invalid_dataset(
+                "score-LUT class projections disagree with the compressed model",
+            ));
         }
         for i in 0..self.n_chunks() {
             if self.rows(i) != layout.table_rows(i) {
@@ -385,8 +445,9 @@ impl ScoreLut {
         Ok(())
     }
 
-    /// Serializes the kernel (`SLT1` format): chunk count, class count,
-    /// per-chunk row counts, then the flat `i64` entries.
+    /// Serializes the kernel (`SLT2` format): chunk count, class count,
+    /// direction count, per-chunk row counts, the `k·n_directions` class
+    /// projections, then the flat `i64` entries.
     ///
     /// # Errors
     ///
@@ -394,7 +455,7 @@ impl ScoreLut {
     /// caps (cannot happen for a kernel built by [`ScoreLut::build`]).
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
         let mut out = Vec::new();
-        out.extend_from_slice(b"SLT1");
+        out.extend_from_slice(MAGIC);
         let w32 = |out: &mut Vec<u8>, v: u32| out.extend_from_slice(&v.to_le_bytes());
         w32(
             &mut out,
@@ -404,10 +465,14 @@ impl ScoreLut {
             &mut out,
             serial_u32("score-lut classes", self.n_classes, MAX_SERIAL_CLASSES)?,
         );
+        w32(
+            &mut out,
+            serial_u32("score-lut directions", self.n_directions, self.n_classes)?,
+        );
         for i in 0..self.n_chunks() {
             out.extend_from_slice(&(self.rows(i) as u64).to_le_bytes());
         }
-        for &e in &self.entries {
+        for &e in self.projections.iter().chain(&self.entries) {
             out.extend_from_slice(&e.to_le_bytes());
         }
         Ok(out)
@@ -435,9 +500,9 @@ impl ScoreLut {
             *pos += n;
             Ok(out)
         };
-        if take(&mut pos, 4)? != b"SLT1" {
+        if take(&mut pos, 4)? != MAGIC {
             return Err(HdcError::invalid_dataset(
-                "bad magic: not an SLT1 score-LUT",
+                "bad magic: not an SLT2 score-LUT",
             ));
         }
         let u32v = |pos: &mut usize| -> Result<u32> {
@@ -447,6 +512,7 @@ impl ScoreLut {
         };
         let m = u32v(&mut pos)? as usize;
         let k = u32v(&mut pos)? as usize;
+        let n_directions = u32v(&mut pos)? as usize;
         if m == 0 || m > MAX_SERIAL_FEATURES {
             return Err(HdcError::invalid_dataset(format!(
                 "score-LUT chunk count {m} outside 1..={MAX_SERIAL_FEATURES}"
@@ -457,6 +523,12 @@ impl ScoreLut {
                 "score-LUT class count {k} outside 1..={MAX_SERIAL_CLASSES}"
             )));
         }
+        if n_directions > k {
+            return Err(HdcError::invalid_dataset(format!(
+                "score-LUT claims {n_directions} directions for {k} classes"
+            )));
+        }
+        let width = k + n_directions;
         // Row counts: 8 bytes each, checked against the remaining stream
         // before the loop allocates anything.
         if m.saturating_mul(8) > bytes.len() - pos {
@@ -476,7 +548,7 @@ impl ScoreLut {
             }
             let chunk_entries = usize::try_from(rows)
                 .ok()
-                .and_then(|r| r.checked_mul(k))
+                .and_then(|r| r.checked_mul(width))
                 .and_then(|e| e.checked_add(total))
                 .filter(|&e| e <= MAX_SERIAL_SCORE_ENTRIES)
                 .ok_or_else(|| {
@@ -488,17 +560,23 @@ impl ScoreLut {
             total = chunk_entries;
             offsets.push(total);
         }
-        if total.saturating_mul(8) > bytes.len() - pos {
+        let n_projections = k * n_directions;
+        if (n_projections + total).saturating_mul(8) > bytes.len() - pos {
             return Err(HdcError::invalid_dataset(
                 "score-LUT stream too short for its entries",
             ));
         }
-        let mut entries = Vec::with_capacity(total);
-        for _ in 0..total {
-            entries.push(i64::from_le_bytes(
-                take(&mut pos, 8)?.try_into().expect("len checked"),
-            ));
-        }
+        let mut read_i64s = |count: usize| -> Result<Vec<i64>> {
+            let mut out = Vec::with_capacity(count);
+            for _ in 0..count {
+                out.push(i64::from_le_bytes(
+                    take(&mut pos, 8)?.try_into().expect("len checked"),
+                ));
+            }
+            Ok(out)
+        };
+        let projections = read_i64s(n_projections)?;
+        let entries = read_i64s(total)?;
         if pos != bytes.len() {
             return Err(HdcError::invalid_dataset(format!(
                 "{} trailing byte(s) after score-LUT (offset {pos})",
@@ -509,6 +587,8 @@ impl ScoreLut {
             entries,
             offsets,
             n_classes: k,
+            n_directions,
+            projections,
         })
     }
 }
@@ -517,7 +597,7 @@ impl ScoreLut {
 mod tests {
     use super::*;
     use hdc::encoding::Encode;
-    use hdc::hv::DenseHv;
+    use hdc::hv::{BipolarHv, DenseHv};
     use hdc::levels::{LevelMemory, LevelScheme};
     use hdc::model::ClassModel;
     use hdc::quantize::{Quantization, Quantizer};
@@ -527,7 +607,10 @@ mod tests {
     use crate::compress::CompressionConfig;
     use crate::lut::TableMode;
 
-    /// A fitted encoder + compressed model pair over random classes.
+    /// A fitted encoder + compressed model pair over correlated random
+    /// classes; `rounds = 0` turns decorrelation off, otherwise it sets
+    /// `decorrelate_rounds`.
+    #[allow(clippy::too_many_arguments)]
     fn setup(
         n: usize,
         r: usize,
@@ -535,6 +618,7 @@ mod tests {
         dim: usize,
         k: usize,
         group: usize,
+        rounds: usize,
         seed: u64,
     ) -> (LookupEncoder, CompressedModel) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -544,12 +628,21 @@ mod tests {
         let layout = ChunkLayout::new(n, r, q).unwrap();
         let encoder =
             LookupEncoder::new(layout, &levels, quantizer, TableMode::Materialized, seed).unwrap();
+        let shared: Vec<i32> = (0..dim).map(|_| rng.gen_range(-40..=40)).collect();
         let classes = (0..k)
-            .map(|_| DenseHv::from_vec((0..dim).map(|_| rng.gen_range(-30..=30)).collect()))
+            .map(|_| {
+                DenseHv::from_vec(
+                    shared
+                        .iter()
+                        .map(|&s| s + rng.gen_range(-30..=30))
+                        .collect(),
+                )
+            })
             .collect();
         let model = ClassModel::from_classes(classes).unwrap();
         let config = CompressionConfig::new()
-            .with_decorrelate(false)
+            .with_decorrelate(rounds > 0)
+            .with_decorrelate_rounds(rounds)
             .with_max_classes_per_vector(group);
         let compressed = CompressedModel::compress(&model, &config).unwrap();
         (encoder, compressed)
@@ -559,82 +652,163 @@ mod tests {
         (0..n).map(|_| rng.gen_range(0.0..1.0)).collect()
     }
 
-    /// The core exactness contract: for random models (remainder chunks
-    /// and multi-group class packing included), the kernel's scores equal
-    /// the dense path's f64 scores exactly and the argmax is identical.
+    /// Shapes covering remainder chunks, multi-group packing with `k` not a
+    /// multiple of the group, and 0, 1 and 2 whitening directions.
+    const SHAPES: [(usize, usize, usize, usize, usize, usize, usize); 5] = [
+        (10, 5, 4, 128, 3, 12, 0),
+        (13, 5, 4, 200, 7, 3, 0),  // remainder chunk + multiple groups
+        (23, 4, 2, 64, 26, 12, 0), // many classes, 3 groups
+        (13, 5, 4, 200, 7, 3, 1),  // whitened, remainder chunk
+        (11, 3, 3, 130, 9, 4, 2),  // two directions, D not a word multiple
+    ];
+
+    /// The core exactness contract: for random models (whitened ones,
+    /// remainder chunks and multi-group class packing included), the
+    /// kernel's exact scores equal the dense path's, so the f64 scores and
+    /// the argmax are identical.
     #[test]
     fn kernel_scores_match_dense_path_exactly() {
-        for (n, r, q, dim, k, group) in [
-            (10, 5, 4, 128, 3, 12),
-            (13, 5, 4, 200, 7, 3),  // remainder chunk + multiple groups
-            (23, 4, 2, 64, 26, 12), // many classes, 3 groups
-        ] {
-            let (encoder, compressed) = setup(n, r, q, dim, k, group, 42 + n as u64);
+        for (n, r, q, dim, k, group, rounds) in SHAPES {
+            let (encoder, compressed) = setup(n, r, q, dim, k, group, rounds, 42 + n as u64);
+            assert_eq!(compressed.n_directions(), rounds);
             let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
+            assert_eq!(lut.n_directions(), rounds);
             let mut rng = StdRng::seed_from_u64(7);
             for _ in 0..25 {
                 let features = random_features(n, &mut rng);
                 let addrs = encoder.addresses(&features).unwrap();
                 let h = encoder.encode(&features).unwrap();
-                let dense = compressed.scores(&h).unwrap();
-                let fast = lut.scores(&addrs).unwrap();
-                assert_eq!(fast, dense, "scores diverged (n={n}, k={k})");
+                assert_eq!(
+                    lut.scores_exact(&addrs).unwrap(),
+                    compressed.scores_exact(&h).unwrap(),
+                    "exact scores diverged (n={n}, k={k}, rounds={rounds})"
+                );
+                assert_eq!(lut.scores(&addrs).unwrap(), compressed.scores(&h).unwrap());
                 assert_eq!(
                     lut.predict(&addrs).unwrap(),
                     compressed.predict(&h).unwrap(),
-                    "argmax diverged (n={n}, k={k})"
+                    "argmax diverged (n={n}, k={k}, rounds={rounds})"
                 );
             }
         }
     }
 
-    /// The dense integer scores are whole numbers; the kernel reproduces
-    /// them in i64 without any f64 round-trip.
+    /// Without whitening the f64 view is the integer signal itself.
     #[test]
-    fn kernel_scores_are_exact_integers() {
-        let (encoder, compressed) = setup(13, 5, 4, 200, 5, 12, 5);
+    fn unwhitened_scores_are_exact_integers() {
+        let (encoder, compressed) = setup(13, 5, 4, 200, 5, 12, 0, 5);
         let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let features = random_features(13, &mut rng);
         let addrs = encoder.addresses(&features).unwrap();
-        let ints = lut.scores_i64(&addrs).unwrap();
+        let exact = lut.scores_exact(&addrs).unwrap();
         let floats = lut.scores(&addrs).unwrap();
-        let dense = compressed
-            .scores(&encoder.encode(&features).unwrap())
-            .unwrap();
-        for ((i, f), d) in ints.iter().zip(&floats).zip(&dense) {
-            assert_eq!(*i as f64, *f);
-            assert_eq!(*f, *d);
-            assert_eq!(d.fract(), 0.0);
+        let scale = 1i128 << (2 * whiten::DIRECTION_FRAC_BITS);
+        for (e, f) in exact.iter().zip(&floats) {
+            assert_eq!(e % scale, 0);
+            assert_eq!((e / scale) as f64, *f);
+        }
+    }
+
+    /// `Σ_d ±v[d]` one dimension at a time — the pre-table build's dot.
+    fn masked_sum(v: &[i64], key: &BipolarHv) -> i64 {
+        v.iter()
+            .enumerate()
+            .map(|(d, &x)| if key.is_negative(d) { -x } else { x })
+            .sum()
+    }
+
+    /// The original build algorithm, kept as the reference: one bipolar
+    /// key and one per-bit dot per `(chunk, column, j, lv)`, then an
+    /// odometer over the digits with `r` scalar adds per entry.
+    fn reference_entries(encoder: &LookupEncoder, compressed: &CompressedModel) -> Vec<i64> {
+        let layout = *encoder.layout();
+        let levels = encoder.lut().levels();
+        let (q, r_max) = (layout.q(), layout.chunk_len(0));
+        let k = compressed.n_classes();
+        let width = k + compressed.n_directions();
+        let weights: Vec<Vec<i64>> = (0..width)
+            .map(|col| {
+                if col < k {
+                    compressed
+                        .combined(compressed.group_of(col))
+                        .as_slice()
+                        .iter()
+                        .map(|&v| v as i64)
+                        .collect()
+                } else {
+                    let dir_q = compressed.direction_q(col - k).as_slice();
+                    dir_q.iter().map(|&v| v as i64).collect()
+                }
+            })
+            .collect();
+        let mut entries = Vec::new();
+        let mut t = vec![0i64; width * r_max * q];
+        for chunk in 0..layout.n_chunks() {
+            let chunk_len = layout.chunk_len(chunk);
+            let p_i = encoder.positions().key(chunk);
+            for (col, w) in weights.iter().enumerate() {
+                let sign = if col < k {
+                    compressed.key(col).bind(p_i)
+                } else {
+                    p_i.clone()
+                };
+                for j in 0..chunk_len {
+                    for lv in 0..q {
+                        let key = sign.bind(&levels.level(lv).rotated(j));
+                        t[(col * r_max + j) * q + lv] = masked_sum(w, &key);
+                    }
+                }
+            }
+            let mut digits = vec![0usize; chunk_len];
+            for _addr in 0..layout.table_rows(chunk) {
+                for col in 0..width {
+                    let mut s = 0i64;
+                    for (j, &dg) in digits.iter().enumerate() {
+                        s += t[(col * r_max + j) * q + dg];
+                    }
+                    entries.push(s);
+                }
+                for d in digits.iter_mut().rev() {
+                    *d += 1;
+                    if *d < q {
+                        break;
+                    }
+                    *d = 0;
+                }
+            }
+        }
+        entries
+    }
+
+    /// The subset-sum build reproduces the reference tables entry for
+    /// entry: signal and projection columns, remainder chunks, `k` not a
+    /// multiple of the group size, and `D` not a multiple of 64.
+    #[test]
+    fn build_matches_reference_tables_entry_for_entry() {
+        for (n, r, q, dim, k, group, rounds) in SHAPES {
+            let (encoder, compressed) = setup(n, r, q, dim, k, group, rounds, 3 + n as u64);
+            let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
+            assert_eq!(
+                lut.entries,
+                reference_entries(&encoder, &compressed),
+                "tables diverged (n={n}, k={k}, rounds={rounds})"
+            );
+            assert_eq!(lut.projections, compressed.projections());
         }
     }
 
     #[test]
-    fn rejects_whitened_models() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let levels = LevelMemory::generate(64, 4, LevelScheme::RandomFlips, &mut rng).unwrap();
-        let samples: Vec<f64> = (0..100).map(|i| i as f64 / 100.0).collect();
-        let quantizer = Quantizer::fit(Quantization::Equalized, &samples, 4).unwrap();
-        let layout = ChunkLayout::new(10, 5, 4).unwrap();
-        let encoder =
-            LookupEncoder::new(layout, &levels, quantizer, TableMode::OnTheFly, 11).unwrap();
-        let classes = (0..3)
-            .map(|_| DenseHv::from_vec((0..64).map(|_| rng.gen_range(-20..=20)).collect()))
-            .collect();
-        let model = ClassModel::from_classes(classes).unwrap();
-        let whitened = CompressedModel::compress(&model, &CompressionConfig::new()).unwrap();
-        assert!(whitened.n_directions() > 0);
-        let err = ScoreLut::build(&encoder, &whitened, usize::MAX).unwrap_err();
-        assert!(err.to_string().contains("decorrelate"), "{err}");
-    }
-
-    #[test]
     fn rejects_budget_overflow() {
-        let (encoder, compressed) = setup(10, 5, 4, 64, 3, 12, 13);
+        let (encoder, compressed) = setup(10, 5, 4, 64, 3, 12, 0, 13);
         // 2 chunks × 1024 rows × 3 classes × 8 B = 49 KiB > 1 KiB budget.
         let err = ScoreLut::build(&encoder, &compressed, 1024).unwrap_err();
         assert!(err.to_string().contains("budget"), "{err}");
         assert!(ScoreLut::build(&encoder, &compressed, 64 << 10).is_ok());
+        // A projection column widens every row: 3 + 1 columns need 64 KiB.
+        let (encoder, whitened) = setup(10, 5, 4, 64, 4, 12, 1, 13);
+        assert!(ScoreLut::build(&encoder, &whitened, 64 << 10).is_err());
+        assert!(ScoreLut::build(&encoder, &whitened, 80 << 10).is_ok());
     }
 
     #[test]
@@ -671,39 +845,47 @@ mod tests {
 
     #[test]
     fn address_validation_errors_cleanly() {
-        let (encoder, compressed) = setup(10, 5, 4, 64, 3, 12, 19);
+        let (encoder, compressed) = setup(10, 5, 4, 64, 3, 12, 0, 19);
         let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
-        assert!(lut.scores_i64(&[0]).is_err()); // wrong count
-        assert!(lut.scores_i64(&[0, 1024]).is_err()); // addr ≥ rows
-        assert!(lut.scores_i64(&[0, 1023]).is_ok());
+        assert!(lut.scores_exact(&[0]).is_err()); // wrong count
+        assert!(lut.scores_exact(&[0, 1024]).is_err()); // addr ≥ rows
+        assert!(lut.scores_exact(&[0, 1023]).is_ok());
     }
 
     #[test]
     fn accessors_report_geometry() {
-        let (encoder, compressed) = setup(13, 5, 2, 64, 4, 12, 23);
+        let (encoder, compressed) = setup(13, 5, 2, 64, 4, 12, 0, 23);
         let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
         assert_eq!(lut.n_chunks(), 3);
         assert_eq!(lut.n_classes(), 4);
+        assert_eq!(lut.n_directions(), 0);
         assert_eq!(lut.rows(0), 32);
         assert_eq!(lut.rows(2), 8); // remainder chunk: 3 features, 2^3
         assert_eq!(lut.size_bytes(), (32 + 32 + 8) * 4 * 8);
         lut.validate_against(encoder.layout(), &compressed).unwrap();
+        let (encoder, whitened) = setup(13, 5, 2, 64, 4, 12, 1, 23);
+        let lut = ScoreLut::build(&encoder, &whitened, usize::MAX).unwrap();
+        assert_eq!(lut.rows(2), 8);
+        // 5 columns per row plus the 4×1 class projections.
+        assert_eq!(lut.size_bytes(), ((32 + 32 + 8) * 5 + 4) * 8);
     }
 
     #[test]
     fn round_trips_through_bytes() {
-        let (encoder, compressed) = setup(13, 5, 4, 128, 5, 3, 29);
-        let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
-        let bytes = lut.to_bytes().unwrap();
-        let back = ScoreLut::from_bytes(&bytes).unwrap();
-        assert_eq!(back, lut);
-        back.validate_against(encoder.layout(), &compressed)
-            .unwrap();
+        for rounds in [0, 1] {
+            let (encoder, compressed) = setup(13, 5, 4, 128, 5, 3, rounds, 29);
+            let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
+            let bytes = lut.to_bytes().unwrap();
+            let back = ScoreLut::from_bytes(&bytes).unwrap();
+            assert_eq!(back, lut);
+            back.validate_against(encoder.layout(), &compressed)
+                .unwrap();
+        }
     }
 
     #[test]
     fn from_bytes_rejects_corruption() {
-        let (encoder, compressed) = setup(10, 5, 2, 64, 3, 12, 31);
+        let (encoder, compressed) = setup(10, 5, 2, 64, 3, 12, 1, 31);
         let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
         let bytes = lut.to_bytes().unwrap();
         // Every truncation errors; trailing bytes error.
@@ -716,22 +898,29 @@ mod tests {
         let mut longer = bytes.clone();
         longer.push(0);
         assert!(ScoreLut::from_bytes(&longer).is_err());
-        // Bad magic.
+        // Bad magic, including the previous format version.
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(ScoreLut::from_bytes(&bad).is_err());
+        let mut v1 = bytes.clone();
+        v1[3] = b'1';
+        assert!(ScoreLut::from_bytes(&v1).is_err());
         // A row-count header lying about a huge table must be rejected
-        // before allocation (chunk count at offset 4, rows at offset 12).
+        // before allocation (counts at offsets 4, 8, 12; rows at 16).
         let mut lying = bytes.clone();
-        lying[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        lying[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(ScoreLut::from_bytes(&lying).is_err());
+        // More directions than classes is rejected.
+        let mut dirs = bytes.clone();
+        dirs[12..16].copy_from_slice(&4u32.to_le_bytes());
+        assert!(ScoreLut::from_bytes(&dirs).is_err());
         // Byte flips never panic; survivors must stay usable.
         let addrs = encoder.addresses(&[0.5; 10]).unwrap();
         for i in 0..bytes.len() {
             let mut flipped = bytes.clone();
             flipped[i] ^= 0xFF;
             if let Ok(back) = ScoreLut::from_bytes(&flipped) {
-                let _ = back.scores_i64(&addrs);
+                let _ = back.scores_exact(&addrs);
             }
         }
         let _ = compressed; // geometry partner kept alive for clarity
@@ -739,13 +928,23 @@ mod tests {
 
     #[test]
     fn validate_against_catches_mismatches() {
-        let (encoder, compressed) = setup(10, 5, 4, 64, 3, 12, 37);
+        let (encoder, compressed) = setup(10, 5, 4, 64, 4, 12, 0, 37);
         let lut = ScoreLut::build(&encoder, &compressed, usize::MAX).unwrap();
         let other_layout = ChunkLayout::new(15, 5, 4).unwrap();
         assert!(lut.validate_against(&other_layout, &compressed).is_err());
-        let (_, other_k) = setup(10, 5, 4, 64, 5, 12, 37);
+        let (_, other_k) = setup(10, 5, 4, 64, 5, 12, 0, 37);
         assert!(lut.validate_against(encoder.layout(), &other_k).is_err());
         let wrong_rows = ChunkLayout::new(10, 5, 2).unwrap();
         assert!(lut.validate_against(&wrong_rows, &compressed).is_err());
+        // Column count: a whitened model needs its projection columns…
+        let (_, whitened) = setup(10, 5, 4, 64, 4, 12, 1, 37);
+        assert!(lut.validate_against(encoder.layout(), &whitened).is_err());
+        // …and a whitened LUT's projections must match its model's.
+        let wlut = ScoreLut::build(&encoder, &whitened, usize::MAX).unwrap();
+        wlut.validate_against(encoder.layout(), &whitened).unwrap();
+        let (_, other_whitened) = setup(10, 5, 4, 64, 4, 12, 1, 38);
+        assert!(wlut
+            .validate_against(encoder.layout(), &other_whitened)
+            .is_err());
     }
 }

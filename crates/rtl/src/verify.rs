@@ -133,8 +133,9 @@ pub struct SearchVerification {
 /// against [`CompressedModel::scores`].
 ///
 /// Only valid for models compressed without decorrelation: the whitening
-/// projection is a floating-point front-end the integer datapath does not
-/// implement (the paper's hardware likewise stores plain integer models).
+/// correction (one fixed-point projection per direction) is a front-end
+/// the datapath does not implement (the paper's hardware likewise stores
+/// plain integer models).
 ///
 /// # Errors
 ///

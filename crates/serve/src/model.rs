@@ -8,7 +8,7 @@
 //!   and compressed model). Requests carry *raw feature vectors*; the
 //!   server encodes and classifies exactly like `lookhd predict`. When the
 //!   artifact carries a scoring-kernel section (`--kernel` at train time:
-//!   an SLT1 score-LUT or a BIN1 binary kernel), the server picks it up
+//!   an SLT2 score-LUT or a BIN1 binary kernel), the server picks it up
 //!   transparently and reports the active kernel in the admin snapshot
 //!   (`kernel.active.<name>`). The score-LUT is bit-identical to the
 //!   dense path, so responses do not change, only their latency; the

@@ -3,7 +3,7 @@
 //! Every kernel dispatches through the same `ScoreKernel` seam, so the
 //! kernels are directly comparable on the five Table-I application
 //! profiles: dense and score-LUT must agree *bit for bit* (scores and
-//! argmax), and the binary Hamming kernel — an explicit approximation —
+//! argmax), with and without decorrelation, and the binary Hamming kernel — an explicit approximation —
 //! must keep its argmax agreement with the dense reference above a
 //! recorded per-workload floor. Multifold prefix scoring only accepts a
 //! fold's argmax early when the margin is unambiguous, so its agreement
@@ -69,6 +69,49 @@ fn dense_and_lut_agree_bit_for_bit_on_all_profiles() {
                 dense.predict(x).expect("dense predict"),
                 lut.predict(x).expect("lut predict"),
                 "{app:?}: lut argmax diverged from dense"
+            );
+        }
+    }
+}
+
+/// The paper-default (decorrelated) model: whitened dense scoring and the
+/// score-LUT's projection columns finish through the same integer
+/// combine, so they agree bit for bit on every profile — with several
+/// whitening directions where the class count allows (`k/4 ≥ 2`) and on a
+/// layout whose last chunk is short (`n % r ≠ 0`).
+#[test]
+fn whitened_dense_and_lut_agree_bit_for_bit_on_all_profiles() {
+    for app in App::ALL {
+        let profile = app.profile();
+        let data = profile.generate_small(53);
+        let r = [5, 4]
+            .into_iter()
+            .find(|r| profile.n_features % r != 0)
+            .expect("a chunk size leaving a remainder");
+        let config = LookHdConfig::new()
+            .with_dim(DIM)
+            .with_q(profile.paper_q_lookhd)
+            .with_r(r)
+            .with_retrain_epochs(3)
+            .with_compression(CompressionConfig::new().with_decorrelate_rounds(4));
+        let dense = LookHdClassifier::fit(&config, &data.train.features, &data.train.labels)
+            .expect("training failed");
+        let n_dir = dense.compressed().n_directions();
+        let want = if profile.n_classes >= 8 { 2 } else { 1 };
+        assert!(n_dir >= want, "{app:?}: {n_dir} direction(s)");
+        let mut lut = dense.clone();
+        lut.set_kernel(&KernelSpec::auto()).expect("lut build");
+        assert_eq!(lut.kernel().name(), "lut", "{app:?}");
+        for x in &data.test.features {
+            assert_eq!(
+                dense.scores(x).expect("dense scores"),
+                lut.scores(x).expect("lut scores"),
+                "{app:?}: whitened lut scores diverged from dense"
+            );
+            assert_eq!(
+                dense.predict(x).expect("dense predict"),
+                lut.predict(x).expect("lut predict"),
+                "{app:?}: whitened lut argmax diverged from dense"
             );
         }
     }

@@ -2,6 +2,7 @@
 
 use lookhd_paper::hdc::hv::DenseHv;
 use lookhd_paper::hdc::model::ClassModel;
+use lookhd_paper::lookhd::whiten::DIRECTION_FRAC_BITS;
 use lookhd_paper::lookhd::{CompressedModel, CompressionConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,8 +16,64 @@ fn random_model(k: usize, d: usize, seed: u64) -> ClassModel {
     ClassModel::from_classes(classes).expect("model build failed")
 }
 
+/// `k` classes sharing a large common component, so decorrelation has
+/// directions to remove.
+fn correlated_model(k: usize, d: usize, seed: u64) -> ClassModel {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let shared: Vec<i32> = (0..d).map(|_| rng.gen_range(-60..=60)).collect();
+    let classes = (0..k)
+        .map(|_| DenseHv::from_vec(shared.iter().map(|&s| s + rng.gen_range(-8..=8)).collect()))
+        .collect();
+    ClassModel::from_classes(classes).expect("model build failed")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The integer whitening split: for decorrelated models with one or
+    /// more directions, the dense exact scores equal
+    /// `S_c·2^{2F} − Σ_t a_t·u_q[c][t]` computed one dimension at a time
+    /// from the public keys, combined vectors and fixed-point directions,
+    /// and the f64 scores are that integer scaled by `2^{-2F}`.
+    #[test]
+    fn integer_whitening_split_reproduces_dense_scores(
+        k in 4usize..14,
+        rounds in 1usize..4,
+        group in 2usize..13,
+        seed in any::<u64>(),
+        qseed in any::<u64>(),
+    ) {
+        let d = 300; // not a multiple of the 64-bit key words
+        let model = correlated_model(k, d, seed);
+        let cfg = CompressionConfig::new()
+            .with_decorrelate_rounds(rounds)
+            .with_max_classes_per_vector(group);
+        let cm = CompressedModel::compress(&model, &cfg).unwrap();
+        let n_dir = cm.n_directions();
+        prop_assert_eq!(n_dir, rounds.min((k / 4).max(1)));
+        let mut rng = StdRng::seed_from_u64(qseed);
+        let h: Vec<i32> = (0..d).map(|_| rng.gen_range(-600..=600)).collect();
+        let query = DenseHv::from_vec(h.clone());
+        let exact = cm.scores_exact(&query).unwrap();
+        let scores = cm.scores(&query).unwrap();
+        let scale = (1i128 << (2 * DIRECTION_FRAC_BITS)) as f64;
+        for c in 0..k {
+            let key = cm.key(c);
+            let combined = cm.combined(cm.group_of(c)).as_slice();
+            let weight = |dd: usize| key.value(dd) as i64 * combined[dd] as i64;
+            let signal: i64 = (0..d).map(|dd| weight(dd) * h[dd] as i64).sum();
+            let mut want = (signal as i128) << (2 * DIRECTION_FRAC_BITS);
+            for t in 0..n_dir {
+                let dir_q = cm.direction_q(t).as_slice();
+                let a: i64 = (0..d).map(|dd| h[dd] as i64 * dir_q[dd] as i64).sum();
+                let u: i64 = (0..d).map(|dd| weight(dd) * dir_q[dd] as i64).sum();
+                prop_assert_eq!(cm.projections()[c * n_dir + t], u);
+                want -= a as i128 * u as i128;
+            }
+            prop_assert_eq!(exact[c], want, "class {}", c);
+            prop_assert_eq!(scores[c], want as f64 / scale);
+        }
+    }
 
     /// Eq. 5 exactness: without decorrelation, the compressed score of a
     /// class decomposes exactly into signal + noise, and summing the two

@@ -193,39 +193,55 @@ fn raw_and_compressed_formats_match_direct_predictions() {
 
 /// An LKS1 artifact carrying the score-LUT kernel serves responses
 /// byte-identical to the dense-path server across the full workers ×
-/// max-batch matrix: the kernel is an exact integer refactoring of the
-/// dense scoring, so only latency may differ, never a class.
+/// max-batch matrix, with and without decorrelation: the kernel is an
+/// exact integer refactoring of the dense scoring (whitening included), so
+/// only latency may differ, never a class.
 #[test]
 fn score_lut_kernel_serves_identically_to_dense_path() {
     let (xs, ys, queries) = dataset();
-    // The kernel requires decorrelation off; train the dense sibling with
-    // the same compression so both models are identical up to the kernel.
-    let base = LookHdConfig::new()
-        .with_dim(256)
-        .with_retrain_epochs(2)
-        .with_compression(lookhd_paper::lookhd::CompressionConfig::new().with_decorrelate(false));
-    let dense = LookHdClassifier::fit(&base, &xs, &ys).expect("dense training failed");
-    let fast = LookHdClassifier::fit(
-        &base
-            .clone()
-            .with_kernel(lookhd_paper::lookhd::KernelSpec::auto()),
-        &xs,
-        &ys,
-    )
-    .expect("lut training");
-    assert!(fast.score_lut().is_some(), "kernel should have been built");
-    let lut_bytes = fast.to_bytes().expect("serialization failed");
-    // The kernel survives the LKS1 round trip into the served model.
-    let reloaded = LookHdClassifier::from_bytes(&lut_bytes).expect("reload failed");
-    assert!(reloaded.score_lut().is_some(), "kernel lost in round trip");
+    // Both the decorrelated (paper-default) and the plain model: train the
+    // dense sibling with the same compression so both models are identical
+    // up to the kernel.
+    for decorrelate in [false, true] {
+        let base = LookHdConfig::new()
+            .with_dim(256)
+            .with_retrain_epochs(2)
+            .with_compression(
+                lookhd_paper::lookhd::CompressionConfig::new().with_decorrelate(decorrelate),
+            );
+        let dense = LookHdClassifier::fit(&base, &xs, &ys).expect("dense training failed");
+        let fast = LookHdClassifier::fit(
+            &base
+                .clone()
+                .with_kernel(lookhd_paper::lookhd::KernelSpec::auto()),
+            &xs,
+            &ys,
+        )
+        .expect("lut training");
+        let lut = fast.score_lut().expect("kernel should have been built");
+        assert_eq!(lut.n_directions() > 0, decorrelate);
+        let lut_bytes = fast.to_bytes().expect("serialization failed");
+        // The kernel survives the LKS1 round trip into the served model.
+        let reloaded = LookHdClassifier::from_bytes(&lut_bytes).expect("reload failed");
+        assert!(reloaded.score_lut().is_some(), "kernel lost in round trip");
 
-    let expected: Vec<usize> = queries
-        .iter()
-        .map(|q| dense.predict(q).expect("dense predict failed"))
-        .collect();
+        let expected: Vec<usize> = queries
+            .iter()
+            .map(|q| dense.predict(q).expect("dense predict failed"))
+            .collect();
+        for (q, &want) in queries.iter().zip(&expected) {
+            assert_eq!(reloaded.predict(q).expect("direct predict"), want);
+        }
+        serve_matches(&lut_bytes, &queries, &expected, decorrelate);
+    }
+}
+
+/// Serves `artifact` across the workers × max-batch matrix and checks
+/// every answer against `expected`.
+fn serve_matches(artifact: &[u8], queries: &[Vec<f64>], expected: &[usize], decorrelate: bool) {
     for workers in WORKERS {
         for max_batch in MAX_BATCH {
-            let model = serve::classifier_from_bytes(&lut_bytes).expect("model load failed");
+            let model = serve::classifier_from_bytes(artifact).expect("model load failed");
             let handle = serve::start(
                 "127.0.0.1:0",
                 model,
@@ -247,7 +263,8 @@ fn score_lut_kernel_serves_identically_to_dense_path() {
                         assert_eq!(
                             class as usize, expected[i],
                             "score-LUT server diverged from dense path on query {i} \
-                             (workers={workers}, max_batch={max_batch})"
+                             (workers={workers}, max_batch={max_batch}, \
+                             decorrelate={decorrelate})"
                         );
                     }
                     other => panic!(
