@@ -2,7 +2,8 @@
 //!
 //! Drives up to thousands of concurrent connections against a running
 //! server from a single thread: every socket is nonblocking and
-//! multiplexed over a [`netpoll::Poller`], with pipelined requests,
+//! multiplexed over an edge-triggered [`netpoll::Poller`] (each readable
+//! socket is drained to `WouldBlock`), with pipelined requests,
 //! optional open-loop rate pacing, and a per-request response deadline.
 //! Measures per-request latency and writes a percentile report under
 //! `results/` — the serving-path analogue of the paper's throughput
@@ -76,6 +77,10 @@ use netpoll::{is_would_block, raw_fd, Interest, Poller};
 /// after the last request is issued, the server gets one full deadline
 /// to answer; a stall beyond that counts the remainder as dropped.
 const POLL_TICK: Duration = Duration::from_millis(50);
+
+/// Read-syscall size: each read lands straight in the connection's
+/// frame-decoder buffer.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Ceil-rank percentile over an ascending-sorted sample: the smallest
 /// sample ≥ the requested fraction of the distribution. Nearest-rank
@@ -280,9 +285,7 @@ fn run_point(w: &Workload<'_>, connections: usize) -> PointReport {
     };
     let started = Instant::now();
     let mut issued_total = 0usize;
-    let mut scratch = vec![0u8; 64 * 1024];
     let mut events = Vec::new();
-    let mut frames = Vec::new();
     let mut last_progress = Instant::now();
 
     loop {
@@ -394,18 +397,23 @@ fn run_point(w: &Workload<'_>, connections: usize) -> PointReport {
             }
             if event.readable || event.hangup {
                 loop {
-                    match slot.stream.read(&mut scratch) {
+                    match slot.stream.read(slot.decoder.space(READ_CHUNK)) {
                         Ok(0) => {
                             slot.dead = true;
                             break;
                         }
                         Ok(n) => {
-                            frames.clear();
-                            if slot.decoder.feed(&scratch[..n], &mut frames).is_err() {
-                                slot.dead = true;
-                            }
-                            for frame in frames.drain(..) {
-                                match decode_response(&frame) {
+                            slot.decoder.commit(n);
+                            loop {
+                                let response = match slot.decoder.next_frame() {
+                                    Ok(Some(frame)) => decode_response(frame),
+                                    Ok(None) => break,
+                                    Err(_) => {
+                                        slot.dead = true;
+                                        break;
+                                    }
+                                };
+                                match response {
                                     Ok(
                                         Response::Predict {
                                             id,

@@ -1,4 +1,4 @@
-//! # netpoll — a thin, dependency-free readiness-polling shim
+//! # netpoll — a thin, dependency-free epoll shim
 //!
 //! `lookhd-serve`'s event loop needs exactly four OS facilities: "tell me
 //! which of these sockets are readable/writable", "let another thread
@@ -7,24 +7,17 @@
 //! `#![forbid(unsafe_code)]` while the workspace stays free of external
 //! dependencies (the usual `mio`/`libc` route is unavailable offline).
 //!
-//! * On **Linux** the backend is raw `epoll` — `epoll_create1` /
-//!   `epoll_ctl` / `epoll_wait` declared as `extern "C"` bindings against
-//!   the libc that `std` already links, plus an `eventfd` for cross-thread
-//!   wakeups. Pollers run level-triggered by default; [`Mode::Edge`]
-//!   switches every registration (waker included) to `EPOLLET`, trading
-//!   re-reported readiness for one wakeup per readiness *transition* —
-//!   callers must then drain each fd to `WouldBlock` before waiting again.
-//! * On **other Unixes** the same API is served by POSIX `poll(2)` with a
-//!   self-pipe waker. O(n) per wait, fine as a portability fallback.
-//!   `poll(2)` has no edge-triggered mode, so [`Mode::Edge`] degrades to
-//!   level-triggered there; code written to the edge contract (drain to
-//!   `WouldBlock`) is correct under both, it just wakes more often.
+//! The crate is **Linux-only**: the backend is raw `epoll` —
+//! `epoll_create1` / `epoll_ctl` / `epoll_wait` declared as `extern "C"`
+//! bindings against the libc that `std` already links, plus an `eventfd`
+//! for cross-thread wakeups. Every registration (the waker included) is
+//! **edge-triggered** (`EPOLLET`): an fd is reported once per readiness
+//! *transition*, so callers must drain each reported fd to `WouldBlock`
+//! before waiting again. Other targets fail to compile.
 //!
-//! The Linux backend also exposes [`reuseport_listener`]: a
-//! `SO_REUSEPORT` TCP listener factory so several acceptor threads can
-//! each bind their own listener to one address and let the kernel shard
-//! incoming connections across them. On the portable backend it returns
-//! `Unsupported` and callers fall back to a single shared listener.
+//! [`reuseport_listener`] binds `SO_REUSEPORT` TCP listeners, so several
+//! acceptor threads can each own a listener on one address and let the
+//! kernel shard incoming connections across them.
 //!
 //! The `unsafe` in this crate is confined to the `sys` FFI declarations
 //! and the few call sites that use them; every invariant (valid fds via
@@ -54,26 +47,17 @@
 
 #![deny(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("netpoll supports Linux only (epoll)");
+
 use std::io;
-use std::os::fd::RawFd;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// The reserved token reported for wakeups triggered via [`Waker::wake`].
 /// Registering a caller fd with this token is rejected.
 pub const WAKER_TOKEN: u64 = u64::MAX;
-
-/// Readiness delivery discipline for a [`Poller`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Report an fd on every wait while it stays ready (epoll default).
-    /// Undrained sockets simply show up again next wait.
-    Level,
-    /// Report an fd only when its readiness *transitions* (`EPOLLET`).
-    /// Callers must drain each reported fd to `WouldBlock` before the
-    /// next wait or risk missing data. The portable `poll(2)` backend
-    /// cannot express this and silently serves level-triggered events;
-    /// the drain-to-`WouldBlock` contract is correct under both.
-    Edge,
-}
 
 /// Which readiness conditions a registration watches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,722 +123,414 @@ pub struct Event {
     pub hangup: bool,
 }
 
-pub use imp::{reuseport_listener, Poller, Waker};
+/// Raw FFI surface. These symbols live in the libc that `std` links
+/// into every Rust binary on Linux; the signatures mirror the man
+/// pages exactly. Constants are from `<sys/epoll.h>` / `<sys/eventfd.h>`
+/// / `<sys/socket.h>` for x86_64/aarch64 (identical on both).
+mod sys {
+    use std::os::fd::RawFd;
 
-// ---------------------------------------------------------------------------
-// Linux backend: epoll + eventfd
-// ---------------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
-mod imp {
-    use std::io;
-    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    use super::{Event, Interest, Mode, WAKER_TOKEN};
-
-    /// Raw FFI surface. These symbols live in the libc that `std` links
-    /// into every Rust binary on Linux; the signatures mirror the man
-    /// pages exactly. Constants are from `<sys/epoll.h>` / `<sys/eventfd.h>`
-    /// / `<sys/socket.h>` for x86_64/aarch64 (identical on both).
-    mod sys {
-        use std::os::fd::RawFd;
-
-        // `struct epoll_event` is packed on x86_64 only (the kernel ABI
-        // quirk inherited from the 32-bit layout); other architectures use
-        // natural alignment.
-        #[repr(C)]
-        #[cfg_attr(target_arch = "x86_64", repr(packed))]
-        #[derive(Clone, Copy)]
-        pub struct EpollEvent {
-            pub events: u32,
-            pub data: u64,
-        }
-
-        /// `struct sockaddr_in` — all multi-byte fields in network order.
-        #[repr(C)]
-        #[derive(Clone, Copy)]
-        pub struct SockAddrIn {
-            pub family: u16,
-            pub port_be: u16,
-            pub addr_be: u32,
-            pub zero: [u8; 8],
-        }
-
-        /// `struct sockaddr_in6`.
-        #[repr(C)]
-        #[derive(Clone, Copy)]
-        pub struct SockAddrIn6 {
-            pub family: u16,
-            pub port_be: u16,
-            pub flowinfo: u32,
-            pub addr: [u8; 16],
-            pub scope_id: u32,
-        }
-
-        pub const EPOLL_CTL_ADD: i32 = 1;
-        pub const EPOLL_CTL_DEL: i32 = 2;
-        pub const EPOLL_CTL_MOD: i32 = 3;
-
-        pub const EPOLLIN: u32 = 0x001;
-        pub const EPOLLOUT: u32 = 0x004;
-        pub const EPOLLERR: u32 = 0x008;
-        pub const EPOLLHUP: u32 = 0x010;
-        pub const EPOLLRDHUP: u32 = 0x2000;
-        /// Edge-triggered delivery (`EPOLLET`, bit 31).
-        pub const EPOLLET: u32 = 1 << 31;
-
-        /// `EPOLL_CLOEXEC` == `O_CLOEXEC`.
-        pub const EPOLL_CLOEXEC: i32 = 0o2000000;
-        /// `EFD_CLOEXEC` == `O_CLOEXEC`, `EFD_NONBLOCK` == `O_NONBLOCK`.
-        pub const EFD_CLOEXEC: i32 = 0o2000000;
-        pub const EFD_NONBLOCK: i32 = 0o4000;
-
-        pub const AF_INET: u16 = 2;
-        pub const AF_INET6: u16 = 10;
-        pub const SOCK_STREAM: i32 = 1;
-        /// `SOCK_CLOEXEC` == `O_CLOEXEC`.
-        pub const SOCK_CLOEXEC: i32 = 0o2000000;
-        pub const SOL_SOCKET: i32 = 1;
-        pub const SO_REUSEADDR: i32 = 2;
-        pub const SO_REUSEPORT: i32 = 15;
-
-        extern "C" {
-            pub fn epoll_create1(flags: i32) -> RawFd;
-            pub fn epoll_ctl(epfd: RawFd, op: i32, fd: RawFd, event: *mut EpollEvent) -> i32;
-            pub fn epoll_wait(
-                epfd: RawFd,
-                events: *mut EpollEvent,
-                maxevents: i32,
-                timeout_ms: i32,
-            ) -> i32;
-            pub fn eventfd(initval: u32, flags: i32) -> RawFd;
-            pub fn read(fd: RawFd, buf: *mut u8, count: usize) -> isize;
-            pub fn write(fd: RawFd, buf: *const u8, count: usize) -> isize;
-            pub fn socket(domain: i32, ty: i32, protocol: i32) -> RawFd;
-            pub fn setsockopt(
-                fd: RawFd,
-                level: i32,
-                optname: i32,
-                optval: *const u8,
-                optlen: u32,
-            ) -> i32;
-            pub fn bind(fd: RawFd, addr: *const u8, addrlen: u32) -> i32;
-            pub fn listen(fd: RawFd, backlog: i32) -> i32;
-        }
+    // `struct epoll_event` is packed on x86_64 only (the kernel ABI
+    // quirk inherited from the 32-bit layout); other architectures use
+    // natural alignment.
+    #[repr(C)]
+    #[cfg_attr(target_arch = "x86_64", repr(packed))]
+    #[derive(Clone, Copy)]
+    pub struct EpollEvent {
+        pub events: u32,
+        pub data: u64,
     }
 
-    fn epoll_mask(interest: Interest, edge: bool) -> u32 {
-        // EPOLLRDHUP distinguishes "peer half-closed" from plain EPOLLIN
-        // and makes abandoned connections visible even when parked with
-        // `Interest::NONE` (EPOLLERR/EPOLLHUP are always reported).
-        let mut mask = sys::EPOLLRDHUP;
-        if interest.is_readable() {
-            mask |= sys::EPOLLIN;
-        }
-        if interest.is_writable() {
-            mask |= sys::EPOLLOUT;
-        }
-        if edge {
-            mask |= sys::EPOLLET;
-        }
-        mask
+    /// `struct sockaddr_in` — all multi-byte fields in network order.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    pub struct SockAddrIn {
+        pub family: u16,
+        pub port_be: u16,
+        pub addr_be: u32,
+        pub zero: [u8; 8],
     }
 
-    /// An epoll instance plus its eventfd wake channel.
-    #[derive(Debug)]
-    pub struct Poller {
-        epfd: OwnedFd,
-        wake: Arc<OwnedFd>,
-        edge: bool,
+    /// `struct sockaddr_in6`.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    pub struct SockAddrIn6 {
+        pub family: u16,
+        pub port_be: u16,
+        pub flowinfo: u32,
+        pub addr: [u8; 16],
+        pub scope_id: u32,
     }
 
-    /// Wakes a [`Poller::wait`] from another thread. Cheap to clone; all
-    /// clones poke the same eventfd.
-    #[derive(Debug, Clone)]
-    pub struct Waker {
-        wake: Arc<OwnedFd>,
+    pub const EPOLL_CTL_ADD: i32 = 1;
+    pub const EPOLL_CTL_DEL: i32 = 2;
+    pub const EPOLL_CTL_MOD: i32 = 3;
+
+    pub const EPOLLIN: u32 = 0x001;
+    pub const EPOLLOUT: u32 = 0x004;
+    pub const EPOLLERR: u32 = 0x008;
+    pub const EPOLLHUP: u32 = 0x010;
+    pub const EPOLLRDHUP: u32 = 0x2000;
+    /// Edge-triggered delivery (`EPOLLET`, bit 31).
+    pub const EPOLLET: u32 = 1 << 31;
+
+    /// `EPOLL_CLOEXEC` == `O_CLOEXEC`.
+    pub const EPOLL_CLOEXEC: i32 = 0o2000000;
+    /// `EFD_CLOEXEC` == `O_CLOEXEC`, `EFD_NONBLOCK` == `O_NONBLOCK`.
+    pub const EFD_CLOEXEC: i32 = 0o2000000;
+    pub const EFD_NONBLOCK: i32 = 0o4000;
+
+    pub const AF_INET: u16 = 2;
+    pub const AF_INET6: u16 = 10;
+    pub const SOCK_STREAM: i32 = 1;
+    /// `SOCK_CLOEXEC` == `O_CLOEXEC`.
+    pub const SOCK_CLOEXEC: i32 = 0o2000000;
+    pub const SOL_SOCKET: i32 = 1;
+    pub const SO_REUSEADDR: i32 = 2;
+    pub const SO_REUSEPORT: i32 = 15;
+
+    extern "C" {
+        pub fn epoll_create1(flags: i32) -> RawFd;
+        pub fn epoll_ctl(epfd: RawFd, op: i32, fd: RawFd, event: *mut EpollEvent) -> i32;
+        pub fn epoll_wait(
+            epfd: RawFd,
+            events: *mut EpollEvent,
+            maxevents: i32,
+            timeout_ms: i32,
+        ) -> i32;
+        pub fn eventfd(initval: u32, flags: i32) -> RawFd;
+        pub fn read(fd: RawFd, buf: *mut u8, count: usize) -> isize;
+        pub fn write(fd: RawFd, buf: *const u8, count: usize) -> isize;
+        pub fn socket(domain: i32, ty: i32, protocol: i32) -> RawFd;
+        pub fn setsockopt(
+            fd: RawFd,
+            level: i32,
+            optname: i32,
+            optval: *const u8,
+            optlen: u32,
+        ) -> i32;
+        pub fn bind(fd: RawFd, addr: *const u8, addrlen: u32) -> i32;
+        pub fn listen(fd: RawFd, backlog: i32) -> i32;
     }
+}
 
-    impl Waker {
-        /// Interrupts the poller's current (or next) wait. Coalesces: many
-        /// wakes before the poller runs produce one event.
-        pub fn wake(&self) {
-            let value: u64 = 1;
-            // SAFETY: `wake` is a valid eventfd owned by the Arc for the
-            // duration of the call; the buffer is 8 initialized bytes as
-            // eventfd(2) requires. A full counter (EAGAIN) already means
-            // "wake pending", so the result can be ignored.
-            let _ = unsafe {
-                sys::write(
-                    self.wake.as_raw_fd(),
-                    value.to_ne_bytes().as_ptr(),
-                    std::mem::size_of::<u64>(),
-                )
-            };
-        }
+fn epoll_mask(interest: Interest) -> u32 {
+    // EPOLLRDHUP distinguishes "peer half-closed" from plain EPOLLIN
+    // and makes abandoned connections visible even when parked with
+    // `Interest::NONE` (EPOLLERR/EPOLLHUP are always reported).
+    let mut mask = sys::EPOLLET | sys::EPOLLRDHUP;
+    if interest.is_readable() {
+        mask |= sys::EPOLLIN;
     }
+    if interest.is_writable() {
+        mask |= sys::EPOLLOUT;
+    }
+    mask
+}
 
-    impl Poller {
-        /// Creates a level-triggered poller with its wake channel already
-        /// registered.
-        ///
-        /// # Errors
-        ///
-        /// Propagates `epoll_create1`/`eventfd`/`epoll_ctl` failures.
-        pub fn new() -> io::Result<Self> {
-            Self::with_mode(Mode::Level)
-        }
+/// An epoll instance plus its eventfd wake channel.
+#[derive(Debug)]
+pub struct Poller {
+    epfd: OwnedFd,
+    wake: Arc<OwnedFd>,
+}
 
-        /// Creates a poller in the given [`Mode`]. Under [`Mode::Edge`]
-        /// every registration — the internal waker included — carries
-        /// `EPOLLET`, so callers must drain each reported fd to
-        /// `WouldBlock` before the next wait.
-        ///
-        /// # Errors
-        ///
-        /// Propagates `epoll_create1`/`eventfd`/`epoll_ctl` failures.
-        pub fn with_mode(mode: Mode) -> io::Result<Self> {
-            let edge = mode == Mode::Edge;
-            // SAFETY: plain syscall, no pointers. A negative return is an
-            // error and never converted to an OwnedFd.
-            let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            // SAFETY: epfd is a freshly returned, unowned, valid fd.
-            let epfd = unsafe { OwnedFd::from_raw_fd(epfd) };
-            // SAFETY: plain syscall, no pointers.
-            let wake = unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) };
-            if wake < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            // SAFETY: same as epfd above.
-            let wake = unsafe { OwnedFd::from_raw_fd(wake) };
-            let poller = Self {
-                epfd,
-                wake: Arc::new(wake),
-                edge,
-            };
-            let mut wake_mask = sys::EPOLLIN;
-            if edge {
-                wake_mask |= sys::EPOLLET;
-            }
-            poller.ctl(
-                sys::EPOLL_CTL_ADD,
-                poller.wake.as_raw_fd(),
-                WAKER_TOKEN,
-                wake_mask,
-            )?;
-            Ok(poller)
-        }
+/// Wakes a [`Poller::wait`] from another thread. Cheap to clone; all
+/// clones poke the same eventfd.
+#[derive(Debug, Clone)]
+pub struct Waker {
+    wake: Arc<OwnedFd>,
+}
 
-        /// Whether this poller delivers edge-triggered events.
-        pub fn is_edge(&self) -> bool {
-            self.edge
-        }
-
-        /// A handle other threads can use to interrupt [`Poller::wait`].
-        pub fn waker(&self) -> Waker {
-            Waker {
-                wake: Arc::clone(&self.wake),
-            }
-        }
-
-        fn ctl(&self, op: i32, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-            let mut event = sys::EpollEvent {
-                events,
-                data: token,
-            };
-            // SAFETY: epfd and fd are valid for the call; `event` is a
-            // live, initialized struct whose pointer epoll_ctl only reads.
-            let rc = unsafe { sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut event) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        /// Starts watching `fd` with `interest`, reporting `token`.
-        ///
-        /// # Errors
-        ///
-        /// Rejects [`WAKER_TOKEN`] as `InvalidInput`; propagates
-        /// `epoll_ctl` failures (e.g. an already-registered fd).
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            if token == WAKER_TOKEN {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "token u64::MAX is reserved for the waker",
-                ));
-            }
-            self.ctl(
-                sys::EPOLL_CTL_ADD,
-                fd,
-                token,
-                epoll_mask(interest, self.edge),
+impl Waker {
+    /// Interrupts the poller's current (or next) wait. Coalesces: many
+    /// wakes before the poller runs produce one event.
+    pub fn wake(&self) {
+        let value: u64 = 1;
+        // SAFETY: `wake` is a valid eventfd owned by the Arc for the
+        // duration of the call; the buffer is 8 initialized bytes as
+        // eventfd(2) requires. A full counter (EAGAIN) already means
+        // "wake pending", so the result can be ignored.
+        let _ = unsafe {
+            sys::write(
+                self.wake.as_raw_fd(),
+                value.to_ne_bytes().as_ptr(),
+                std::mem::size_of::<u64>(),
             )
-        }
-
-        /// Changes the interest set (and token) of a registered fd.
-        ///
-        /// # Errors
-        ///
-        /// Same conditions as [`Poller::register`].
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            if token == WAKER_TOKEN {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "token u64::MAX is reserved for the waker",
-                ));
-            }
-            self.ctl(
-                sys::EPOLL_CTL_MOD,
-                fd,
-                token,
-                epoll_mask(interest, self.edge),
-            )
-        }
-
-        /// Stops watching a registered fd.
-        ///
-        /// # Errors
-        ///
-        /// Propagates `epoll_ctl` failures.
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0)
-        }
-
-        /// Blocks until at least one fd is ready, a [`Waker`] fires, or
-        /// `timeout` elapses (`None` = wait forever). Ready events are
-        /// appended to `events` (cleared first). Wakeups appear as events
-        /// with [`WAKER_TOKEN`]; their eventfd is drained here.
-        ///
-        /// # Errors
-        ///
-        /// Propagates `epoll_wait` failures. `EINTR` is retried
-        /// internally.
-        pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            events.clear();
-            let timeout_ms: i32 = match timeout {
-                None => -1,
-                // Round up so a 0 < t < 1 ms timeout still sleeps.
-                Some(t) => i32::try_from(t.as_millis().max(u128::from(u32::from(!t.is_zero()))))
-                    .unwrap_or(i32::MAX),
-            };
-            const CAPACITY: usize = 256;
-            let mut buf = [sys::EpollEvent { events: 0, data: 0 }; CAPACITY];
-            let n = loop {
-                // SAFETY: epfd is valid; `buf` is a live array of CAPACITY
-                // initialized events that the kernel writes into.
-                let rc = unsafe {
-                    sys::epoll_wait(
-                        self.epfd.as_raw_fd(),
-                        buf.as_mut_ptr(),
-                        CAPACITY as i32,
-                        timeout_ms,
-                    )
-                };
-                if rc >= 0 {
-                    break rc as usize;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            for raw in &buf[..n] {
-                // Copy out of the (possibly packed) struct before use.
-                let mask = raw.events;
-                let token = raw.data;
-                if token == WAKER_TOKEN {
-                    self.drain_wake();
-                    events.push(Event {
-                        token,
-                        readable: false,
-                        writable: false,
-                        hangup: false,
-                    });
-                    continue;
-                }
-                events.push(Event {
-                    token,
-                    readable: mask & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
-                    writable: mask & sys::EPOLLOUT != 0,
-                    hangup: mask & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-
-        /// Resets the eventfd counter so readiness clears. Loops until the
-        /// read reports `WouldBlock`: a single read would suffice for one
-        /// drain (eventfd reads return the whole counter), but a wake
-        /// posted between that read and the next `wait()` must land the
-        /// fd back at a zero counter before we sleep — under
-        /// edge-triggered delivery a partially drained eventfd never
-        /// fires again and the wakeup is lost. Draining to `WouldBlock`
-        /// guarantees every post-drain wake is a fresh 0→1 transition,
-        /// which re-arms the edge.
-        fn drain_wake(&self) {
-            let mut buf = [0u8; 8];
-            loop {
-                // SAFETY: `wake` is a valid nonblocking eventfd; the
-                // buffer is 8 writable bytes. A negative return (EAGAIN:
-                // counter already zero) terminates the drain.
-                let rc = unsafe { sys::read(self.wake.as_raw_fd(), buf.as_mut_ptr(), buf.len()) };
-                if rc < 0 {
-                    break;
-                }
-            }
-        }
+        };
     }
+}
 
-    /// Binds a TCP listener to `addr` with `SO_REUSEPORT` (and
-    /// `SO_REUSEADDR`) set before the bind, so several listeners can share
-    /// one address and the kernel shards incoming connections across them
-    /// by flow hash. The listener is returned blocking, like
-    /// `TcpListener::bind`; callers set nonblocking themselves.
+impl Poller {
+    /// Creates an edge-triggered poller with its wake channel already
+    /// registered. Every registration — the internal waker included —
+    /// carries `EPOLLET`, so callers must drain each reported fd to
+    /// `WouldBlock` before the next wait.
     ///
     /// # Errors
     ///
-    /// Propagates `socket`/`setsockopt`/`bind`/`listen` failures.
-    pub fn reuseport_listener(addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-        let domain = match addr {
-            std::net::SocketAddr::V4(_) => sys::AF_INET,
-            std::net::SocketAddr::V6(_) => sys::AF_INET6,
-        };
+    /// Propagates `epoll_create1`/`eventfd`/`epoll_ctl` failures.
+    pub fn new() -> io::Result<Self> {
         // SAFETY: plain syscall, no pointers. A negative return is an
         // error and never converted to an OwnedFd.
-        let fd = unsafe { sys::socket(i32::from(domain), sys::SOCK_STREAM | sys::SOCK_CLOEXEC, 0) };
-        if fd < 0 {
+        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
+        if epfd < 0 {
             return Err(io::Error::last_os_error());
         }
-        // SAFETY: fd is a freshly returned, unowned, valid socket; from
-        // here the OwnedFd closes it on every error path.
-        let fd = unsafe { OwnedFd::from_raw_fd(fd) };
-        for opt in [sys::SO_REUSEADDR, sys::SO_REUSEPORT] {
-            let one: i32 = 1;
-            // SAFETY: fd is valid; optval points at 4 live bytes and
-            // optlen matches.
+        // SAFETY: epfd is a freshly returned, unowned, valid fd.
+        let epfd = unsafe { OwnedFd::from_raw_fd(epfd) };
+        // SAFETY: plain syscall, no pointers.
+        let wake = unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) };
+        if wake < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: same as epfd above.
+        let wake = unsafe { OwnedFd::from_raw_fd(wake) };
+        let poller = Self {
+            epfd,
+            wake: Arc::new(wake),
+        };
+        poller.ctl(
+            sys::EPOLL_CTL_ADD,
+            poller.wake.as_raw_fd(),
+            WAKER_TOKEN,
+            sys::EPOLLIN | sys::EPOLLET,
+        )?;
+        Ok(poller)
+    }
+
+    /// A handle other threads can use to interrupt [`Poller::wait`].
+    pub fn waker(&self) -> Waker {
+        Waker {
+            wake: Arc::clone(&self.wake),
+        }
+    }
+
+    fn ctl(&self, op: i32, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
+        let mut event = sys::EpollEvent {
+            events,
+            data: token,
+        };
+        // SAFETY: epfd and fd are valid for the call; `event` is a
+        // live, initialized struct whose pointer epoll_ctl only reads.
+        let rc = unsafe { sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut event) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    /// Starts watching `fd` with `interest`, reporting `token`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects [`WAKER_TOKEN`] as `InvalidInput`; propagates
+    /// `epoll_ctl` failures (e.g. an already-registered fd).
+    pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        if token == WAKER_TOKEN {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "token u64::MAX is reserved for the waker",
+            ));
+        }
+        self.ctl(sys::EPOLL_CTL_ADD, fd, token, epoll_mask(interest))
+    }
+
+    /// Changes the interest set (and token) of a registered fd.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Poller::register`].
+    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        if token == WAKER_TOKEN {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "token u64::MAX is reserved for the waker",
+            ));
+        }
+        self.ctl(sys::EPOLL_CTL_MOD, fd, token, epoll_mask(interest))
+    }
+
+    /// Stops watching a registered fd.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `epoll_ctl` failures.
+    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0)
+    }
+
+    /// Blocks until at least one fd is ready, a [`Waker`] fires, or
+    /// `timeout` elapses (`None` = wait forever). Ready events are
+    /// appended to `events` (cleared first). Wakeups appear as events
+    /// with [`WAKER_TOKEN`]; their eventfd is drained here.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `epoll_wait` failures. `EINTR` is retried
+    /// internally.
+    pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        events.clear();
+        let timeout_ms: i32 = match timeout {
+            None => -1,
+            // Round up so a 0 < t < 1 ms timeout still sleeps.
+            Some(t) => i32::try_from(t.as_millis().max(u128::from(u32::from(!t.is_zero()))))
+                .unwrap_or(i32::MAX),
+        };
+        const CAPACITY: usize = 256;
+        let mut buf = [sys::EpollEvent { events: 0, data: 0 }; CAPACITY];
+        let n = loop {
+            // SAFETY: epfd is valid; `buf` is a live array of CAPACITY
+            // initialized events that the kernel writes into.
             let rc = unsafe {
-                sys::setsockopt(
-                    fd.as_raw_fd(),
-                    sys::SOL_SOCKET,
-                    opt,
-                    one.to_ne_bytes().as_ptr(),
-                    4,
+                sys::epoll_wait(
+                    self.epfd.as_raw_fd(),
+                    buf.as_mut_ptr(),
+                    CAPACITY as i32,
+                    timeout_ms,
                 )
             };
+            if rc >= 0 {
+                break rc as usize;
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+        };
+        for raw in &buf[..n] {
+            // Copy out of the (possibly packed) struct before use.
+            let mask = raw.events;
+            let token = raw.data;
+            if token == WAKER_TOKEN {
+                self.drain_wake();
+                events.push(Event {
+                    token,
+                    readable: false,
+                    writable: false,
+                    hangup: false,
+                });
+                continue;
+            }
+            events.push(Event {
+                token,
+                readable: mask & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
+                writable: mask & sys::EPOLLOUT != 0,
+                hangup: mask & (sys::EPOLLERR | sys::EPOLLHUP) != 0,
+            });
+        }
+        Ok(())
+    }
+
+    /// Resets the eventfd counter so readiness clears. Loops until the
+    /// read reports `WouldBlock`: a single read would suffice for one
+    /// drain (eventfd reads return the whole counter), but a wake
+    /// posted between that read and the next `wait()` must land the
+    /// fd back at a zero counter before we sleep — under
+    /// edge-triggered delivery a partially drained eventfd never
+    /// fires again and the wakeup is lost. Draining to `WouldBlock`
+    /// guarantees every post-drain wake is a fresh 0→1 transition,
+    /// which re-arms the edge.
+    fn drain_wake(&self) {
+        let mut buf = [0u8; 8];
+        loop {
+            // SAFETY: `wake` is a valid nonblocking eventfd; the
+            // buffer is 8 writable bytes. A negative return (EAGAIN:
+            // counter already zero) terminates the drain.
+            let rc = unsafe { sys::read(self.wake.as_raw_fd(), buf.as_mut_ptr(), buf.len()) };
             if rc < 0 {
-                return Err(io::Error::last_os_error());
+                break;
             }
         }
-        let rc = match addr {
-            std::net::SocketAddr::V4(v4) => {
-                let sa = sys::SockAddrIn {
-                    family: sys::AF_INET,
-                    port_be: v4.port().to_be(),
-                    // `octets()` is already network byte order in memory.
-                    addr_be: u32::from_ne_bytes(v4.ip().octets()),
-                    zero: [0; 8],
-                };
-                // SAFETY: fd is valid; the pointer covers a live
-                // sockaddr_in of exactly the passed length.
-                unsafe {
-                    sys::bind(
-                        fd.as_raw_fd(),
-                        (&sa as *const sys::SockAddrIn).cast(),
-                        std::mem::size_of::<sys::SockAddrIn>() as u32,
-                    )
-                }
-            }
-            std::net::SocketAddr::V6(v6) => {
-                let sa = sys::SockAddrIn6 {
-                    family: sys::AF_INET6,
-                    port_be: v6.port().to_be(),
-                    flowinfo: v6.flowinfo(),
-                    addr: v6.ip().octets(),
-                    scope_id: v6.scope_id(),
-                };
-                // SAFETY: as above, for sockaddr_in6.
-                unsafe {
-                    sys::bind(
-                        fd.as_raw_fd(),
-                        (&sa as *const sys::SockAddrIn6).cast(),
-                        std::mem::size_of::<sys::SockAddrIn6>() as u32,
-                    )
-                }
-            }
+    }
+}
+
+/// Binds a TCP listener to `addr` with `SO_REUSEPORT` (and
+/// `SO_REUSEADDR`) set before the bind, so several listeners can share
+/// one address and the kernel shards incoming connections across them
+/// by flow hash. The listener is returned blocking, like
+/// `TcpListener::bind`; callers set nonblocking themselves.
+///
+/// # Errors
+///
+/// Propagates `socket`/`setsockopt`/`bind`/`listen` failures.
+pub fn reuseport_listener(addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
+    let domain = match addr {
+        std::net::SocketAddr::V4(_) => sys::AF_INET,
+        std::net::SocketAddr::V6(_) => sys::AF_INET6,
+    };
+    // SAFETY: plain syscall, no pointers. A negative return is an
+    // error and never converted to an OwnedFd.
+    let fd = unsafe { sys::socket(i32::from(domain), sys::SOCK_STREAM | sys::SOCK_CLOEXEC, 0) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: fd is a freshly returned, unowned, valid socket; from
+    // here the OwnedFd closes it on every error path.
+    let fd = unsafe { OwnedFd::from_raw_fd(fd) };
+    for opt in [sys::SO_REUSEADDR, sys::SO_REUSEPORT] {
+        let one: i32 = 1;
+        // SAFETY: fd is valid; optval points at 4 live bytes and
+        // optlen matches.
+        let rc = unsafe {
+            sys::setsockopt(
+                fd.as_raw_fd(),
+                sys::SOL_SOCKET,
+                opt,
+                one.to_ne_bytes().as_ptr(),
+                4,
+            )
         };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }
-        // SAFETY: plain syscall on a valid fd.
-        if unsafe { sys::listen(fd.as_raw_fd(), 1024) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(std::net::TcpListener::from(fd))
     }
-}
-
-// ---------------------------------------------------------------------------
-// Portable Unix backend: poll(2) + self-pipe
-// ---------------------------------------------------------------------------
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
-    use std::collections::BTreeMap;
-    use std::io::{self, Read, Write};
-    use std::os::fd::{AsRawFd, RawFd};
-    use std::sync::{Arc, Mutex};
-    use std::time::Duration;
-
-    use super::{Event, Interest, Mode, WAKER_TOKEN};
-
-    mod sys {
-        use std::os::fd::RawFd;
-
-        #[repr(C)]
-        #[derive(Clone, Copy)]
-        pub struct PollFd {
-            pub fd: RawFd,
-            pub events: i16,
-            pub revents: i16,
-        }
-
-        pub const POLLIN: i16 = 0x001;
-        pub const POLLOUT: i16 = 0x004;
-        pub const POLLERR: i16 = 0x008;
-        pub const POLLHUP: i16 = 0x010;
-
-        extern "C" {
-            pub fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
-        }
-    }
-
-    /// POSIX `poll(2)` emulation of the epoll-backed API. The interest
-    /// table lives behind a mutex so registration from other threads
-    /// (workers requesting write interest) stays safe; `poll` itself
-    /// rebuilds the fd array each wait — O(n), acceptable for a fallback.
-    #[derive(Debug)]
-    pub struct Poller {
-        interests: Mutex<BTreeMap<RawFd, (u64, Interest)>>,
-        wake_read: std::net::TcpStream,
-        wake_write: Arc<Mutex<std::net::TcpStream>>,
-    }
-
-    /// Self-pipe waker (a loopback socketpair stand-in: `std` exposes no
-    /// portable pipe, and a localhost TCP pair behaves identically here).
-    #[derive(Debug, Clone)]
-    pub struct Waker {
-        wake_write: Arc<Mutex<std::net::TcpStream>>,
-    }
-
-    impl Waker {
-        /// Interrupts the poller's current (or next) wait.
-        pub fn wake(&self) {
-            if let Ok(mut w) = self.wake_write.lock() {
-                let _ = w.write(&[1u8]);
-            }
-        }
-    }
-
-    impl Poller {
-        /// Creates a poller with its wake channel already registered.
-        ///
-        /// # Errors
-        ///
-        /// Propagates socket-pair setup failures.
-        pub fn new() -> io::Result<Self> {
-            Self::with_mode(Mode::Level)
-        }
-
-        /// Creates a poller in the given [`Mode`]. `poll(2)` cannot
-        /// deliver edge-triggered events, so [`Mode::Edge`] is accepted
-        /// but served level-triggered; drain-to-`WouldBlock` consumers
-        /// stay correct, they just wake more often.
-        ///
-        /// # Errors
-        ///
-        /// Propagates socket-pair setup failures.
-        pub fn with_mode(_mode: Mode) -> io::Result<Self> {
-            let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-            let write_half = std::net::TcpStream::connect(listener.local_addr()?)?;
-            let (read_half, _) = listener.accept()?;
-            read_half.set_nonblocking(true)?;
-            write_half.set_nonblocking(true)?;
-            write_half.set_nodelay(true)?;
-            Ok(Self {
-                interests: Mutex::new(BTreeMap::new()),
-                wake_read: read_half,
-                wake_write: Arc::new(Mutex::new(write_half)),
-            })
-        }
-
-        /// A handle other threads can use to interrupt [`Poller::wait`].
-        pub fn waker(&self) -> Waker {
-            Waker {
-                wake_write: Arc::clone(&self.wake_write),
-            }
-        }
-
-        /// Always `false`: this backend only serves level-triggered events.
-        pub fn is_edge(&self) -> bool {
-            false
-        }
-
-        /// Starts watching `fd` with `interest`, reporting `token`.
-        ///
-        /// # Errors
-        ///
-        /// Rejects [`WAKER_TOKEN`] and double registration.
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            if token == WAKER_TOKEN {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "token u64::MAX is reserved for the waker",
-                ));
-            }
-            let mut interests = self.interests.lock().expect("netpoll interests poisoned");
-            if interests.insert(fd, (token, interest)).is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
-            }
-            Ok(())
-        }
-
-        /// Changes the interest set (and token) of a registered fd.
-        ///
-        /// # Errors
-        ///
-        /// Rejects [`WAKER_TOKEN`] and unknown fds.
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            if token == WAKER_TOKEN {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "token u64::MAX is reserved for the waker",
-                ));
-            }
-            let mut interests = self.interests.lock().expect("netpoll interests poisoned");
-            match interests.get_mut(&fd) {
-                Some(slot) => {
-                    *slot = (token, interest);
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        /// Stops watching a registered fd.
-        ///
-        /// # Errors
-        ///
-        /// Rejects unknown fds.
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            let mut interests = self.interests.lock().expect("netpoll interests poisoned");
-            match interests.remove(&fd) {
-                Some(_) => Ok(()),
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            }
-        }
-
-        /// Blocks until readiness, a wake, or `timeout` (see the Linux
-        /// backend for the contract).
-        ///
-        /// # Errors
-        ///
-        /// Propagates `poll` failures. `EINTR` is retried internally.
-        pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            events.clear();
-            let mut fds: Vec<(u64, sys::PollFd)> = vec![(
-                WAKER_TOKEN,
-                sys::PollFd {
-                    fd: self.wake_read.as_raw_fd(),
-                    events: sys::POLLIN,
-                    revents: 0,
-                },
-            )];
-            {
-                let interests = self.interests.lock().expect("netpoll interests poisoned");
-                for (&fd, &(token, interest)) in interests.iter() {
-                    let mut mask = 0i16;
-                    if interest.is_readable() {
-                        mask |= sys::POLLIN;
-                    }
-                    if interest.is_writable() {
-                        mask |= sys::POLLOUT;
-                    }
-                    fds.push((
-                        token,
-                        sys::PollFd {
-                            fd,
-                            events: mask,
-                            revents: 0,
-                        },
-                    ));
-                }
-            }
-            let timeout_ms: i32 = match timeout {
-                None => -1,
-                Some(t) => i32::try_from(t.as_millis().max(u128::from(u32::from(!t.is_zero()))))
-                    .unwrap_or(i32::MAX),
+    let rc = match addr {
+        std::net::SocketAddr::V4(v4) => {
+            let sa = sys::SockAddrIn {
+                family: sys::AF_INET,
+                port_be: v4.port().to_be(),
+                // `octets()` is already network byte order in memory.
+                addr_be: u32::from_ne_bytes(v4.ip().octets()),
+                zero: [0; 8],
             };
-            let mut raw: Vec<sys::PollFd> = fds.iter().map(|(_, p)| *p).collect();
-            loop {
-                // SAFETY: `raw` is a live, initialized array of pollfd
-                // structs; nfds matches its length.
-                let rc = unsafe { sys::poll(raw.as_mut_ptr(), raw.len() as u64, timeout_ms) };
-                if rc >= 0 {
-                    break;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
+            // SAFETY: fd is valid; the pointer covers a live
+            // sockaddr_in of exactly the passed length.
+            unsafe {
+                sys::bind(
+                    fd.as_raw_fd(),
+                    (&sa as *const sys::SockAddrIn).cast(),
+                    std::mem::size_of::<sys::SockAddrIn>() as u32,
+                )
             }
-            for ((token, _), polled) in fds.iter().zip(&raw) {
-                if polled.revents == 0 {
-                    continue;
-                }
-                if *token == WAKER_TOKEN {
-                    let mut sink = [0u8; 64];
-                    let mut read_half = &self.wake_read;
-                    while matches!(read_half.read(&mut sink), Ok(n) if n > 0) {}
-                    events.push(Event {
-                        token: *token,
-                        readable: false,
-                        writable: false,
-                        hangup: false,
-                    });
-                    continue;
-                }
-                events.push(Event {
-                    token: *token,
-                    readable: polled.revents & (sys::POLLIN | sys::POLLHUP) != 0,
-                    writable: polled.revents & sys::POLLOUT != 0,
-                    hangup: polled.revents & (sys::POLLERR | sys::POLLHUP) != 0,
-                });
-            }
-            Ok(())
         }
+        std::net::SocketAddr::V6(v6) => {
+            let sa = sys::SockAddrIn6 {
+                family: sys::AF_INET6,
+                port_be: v6.port().to_be(),
+                flowinfo: v6.flowinfo(),
+                addr: v6.ip().octets(),
+                scope_id: v6.scope_id(),
+            };
+            // SAFETY: as above, for sockaddr_in6.
+            unsafe {
+                sys::bind(
+                    fd.as_raw_fd(),
+                    (&sa as *const sys::SockAddrIn6).cast(),
+                    std::mem::size_of::<sys::SockAddrIn6>() as u32,
+                )
+            }
+        }
+    };
+    if rc < 0 {
+        return Err(io::Error::last_os_error());
     }
-
-    /// `SO_REUSEPORT` sharding is Linux-specific here; this backend
-    /// reports `Unsupported` so callers fall back to a single listener.
-    pub fn reuseport_listener(_addr: std::net::SocketAddr) -> io::Result<std::net::TcpListener> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "SO_REUSEPORT accept sharding requires the Linux epoll backend",
-        ))
+    // SAFETY: plain syscall on a valid fd.
+    if unsafe { sys::listen(fd.as_raw_fd(), 1024) } < 0 {
+        return Err(io::Error::last_os_error());
     }
+    Ok(std::net::TcpListener::from(fd))
 }
-
-#[cfg(not(unix))]
-compile_error!("netpoll supports Unix targets only (epoll on Linux, poll(2) elsewhere)");
 
 /// Convenience: classify an I/O result from a nonblocking operation.
 /// `WouldBlock` is the readiness loop's steady state, not an error, and
@@ -900,12 +576,6 @@ mod tests {
         assert!(events.is_empty(), "{events:?}");
 
         b.write_all(b"hello").unwrap();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(events.iter().any(|e| e.token == 42 && e.readable));
-
-        // Level-triggered: still ready until drained.
         poller
             .wait(&mut events, Some(Duration::from_secs(5)))
             .unwrap();
@@ -996,12 +666,10 @@ mod tests {
             .is_err());
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn edge_triggered_reports_once_until_new_data() {
         let (a, mut b) = pair();
-        let poller = Poller::with_mode(Mode::Edge).unwrap();
-        assert!(poller.is_edge());
+        let poller = Poller::new().unwrap();
         poller.register(raw_fd(&a), 42, Interest::READABLE).unwrap();
 
         b.write_all(b"hello").unwrap();
@@ -1031,66 +699,63 @@ mod tests {
     }
 
     /// The ET-safety regression test for the waker: two threads hammer
-    /// wake() against a poller in edge mode while the poll thread drains.
-    /// Every round ends with a wake that MUST be observed — under the old
-    /// single-read drain, a wake racing the drain left the eventfd
-    /// counter nonzero, and the next wake never produced a fresh edge.
+    /// wake() while the poll thread drains. The storm is followed by a
+    /// wake that MUST be observed — under the old single-read drain, a
+    /// wake racing the drain left the eventfd counter nonzero, and the
+    /// next wake never produced a fresh edge.
     #[test]
     fn waker_hammer_from_two_threads_never_loses_the_final_wake() {
-        for mode in [Mode::Level, Mode::Edge] {
-            let poller = Poller::with_mode(mode).unwrap();
-            let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let mut storms = Vec::new();
-            for _ in 0..2 {
-                let waker = poller.waker();
-                let stop = std::sync::Arc::clone(&stop);
-                storms.push(std::thread::spawn(move || {
-                    let mut n = 0u32;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        waker.wake();
-                        n += 1;
-                        if n.is_multiple_of(64) {
-                            std::thread::yield_now();
-                        }
-                    }
-                }));
-            }
-            // Drain concurrently with the storm for a while.
-            let mut events = Vec::new();
-            let deadline = Instant::now() + Duration::from_millis(200);
-            while Instant::now() < deadline {
-                poller
-                    .wait(&mut events, Some(Duration::from_millis(10)))
-                    .unwrap();
-            }
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            for h in storms {
-                h.join().unwrap();
-            }
-            // Settle: consume whatever the storm left behind.
-            loop {
-                poller
-                    .wait(&mut events, Some(Duration::from_millis(20)))
-                    .unwrap();
-                if events.is_empty() {
-                    break;
-                }
-            }
-            // The decisive wake after the storm must still come through.
+        let poller = Poller::new().unwrap();
+        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut storms = Vec::new();
+        for _ in 0..2 {
             let waker = poller.waker();
-            let h = std::thread::spawn(move || waker.wake());
-            poller
-                .wait(&mut events, Some(Duration::from_secs(10)))
-                .unwrap();
-            h.join().unwrap();
-            assert!(
-                events.iter().any(|e| e.token == WAKER_TOKEN),
-                "post-storm wake was lost in {mode:?} mode"
-            );
+            let stop = std::sync::Arc::clone(&stop);
+            storms.push(std::thread::spawn(move || {
+                let mut n = 0u32;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    waker.wake();
+                    n += 1;
+                    if n.is_multiple_of(64) {
+                        std::thread::yield_now();
+                    }
+                }
+            }));
         }
+        // Drain concurrently with the storm for a while.
+        let mut events = Vec::new();
+        let deadline = Instant::now() + Duration::from_millis(200);
+        while Instant::now() < deadline {
+            poller
+                .wait(&mut events, Some(Duration::from_millis(10)))
+                .unwrap();
+        }
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        for h in storms {
+            h.join().unwrap();
+        }
+        // Settle: consume whatever the storm left behind.
+        loop {
+            poller
+                .wait(&mut events, Some(Duration::from_millis(20)))
+                .unwrap();
+            if events.is_empty() {
+                break;
+            }
+        }
+        // The decisive wake after the storm must still come through.
+        let waker = poller.waker();
+        let h = std::thread::spawn(move || waker.wake());
+        poller
+            .wait(&mut events, Some(Duration::from_secs(10)))
+            .unwrap();
+        h.join().unwrap();
+        assert!(
+            events.iter().any(|e| e.token == WAKER_TOKEN),
+            "post-storm wake was lost"
+        );
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn reuseport_listeners_share_one_address() {
         use std::net::SocketAddr;

@@ -9,12 +9,11 @@
 //!
 //! ## Accept sharding
 //!
-//! With `SO_REUSEPORT` available (Linux), **every** reactor owns its
-//! own listener bound to the same address and adopts its accepts
+//! **Every** reactor owns its own `SO_REUSEPORT` listener bound to the
+//! same address (a lone reactor included) and adopts its accepts
 //! directly — the kernel shards incoming connections across listeners
-//! by flow hash, so there is no shared accept path at all. Where
-//! REUSEPORT is unavailable the server falls back to a single listener
-//! on reactor 0, which hands connections to reactors round-robin.
+//! by flow hash, so there is no shared accept path and no cross-thread
+//! connection hand-off at all.
 //!
 //! ## Edge-triggered readiness + the read-budget rule
 //!
@@ -142,8 +141,6 @@ enum ReadOutcome {
 
 /// Cross-thread requests to a reactor.
 enum Command {
-    /// Adopt a newly accepted connection.
-    Adopt(TcpStream),
     /// The connection has backlogged response bytes: flush and watch
     /// `EPOLLOUT` until empty.
     Flush(u64),
@@ -181,10 +178,6 @@ impl ReactorQueue {
         self.waker.wake();
     }
 
-    fn adopt(&self, stream: TcpStream) {
-        self.push(Command::Adopt(stream));
-    }
-
     /// Asks the reactor to flush the connection's outbox.
     pub(crate) fn flush(&self, token: u64) {
         self.push(Command::Flush(token));
@@ -217,15 +210,9 @@ pub(crate) struct Reactor {
     inner: Arc<Inner>,
     poller: Poller,
     queue: Arc<ReactorQueue>,
-    /// This reactor's listener: every reactor owns one under REUSEPORT
-    /// sharding; only reactor 0 in single-listener fallback mode.
+    /// This reactor's `SO_REUSEPORT` listener; dropped (closed) when
+    /// shutdown begins.
     listener: Option<TcpListener>,
-    /// With sharding each reactor adopts its own accepts; without it,
-    /// reactor 0 hands connections out round-robin over these queues.
-    sharded: bool,
-    /// All reactors' queues, for round-robin connection assignment.
-    peers: Vec<Arc<ReactorQueue>>,
-    next_peer: usize,
     /// Pre-interned `serve.reactor.frames{reactor=}` handle: one bump
     /// per dispatched frame attributes wire traffic to this reactor
     /// without allocating on the event loop.
@@ -248,9 +235,7 @@ impl Reactor {
         inner: Arc<Inner>,
         poller: Poller,
         queue: Arc<ReactorQueue>,
-        listener: Option<TcpListener>,
-        sharded: bool,
-        peers: Vec<Arc<ReactorQueue>>,
+        listener: TcpListener,
     ) -> Self {
         let frames_id =
             obs::intern_counter("serve.reactor.frames", &[("reactor", &index.to_string())]);
@@ -258,10 +243,7 @@ impl Reactor {
             inner,
             poller,
             queue,
-            listener,
-            sharded,
-            peers,
-            next_peer: 0,
+            listener: Some(listener),
             frames_id,
             conns: HashMap::new(),
             ready: VecDeque::new(),
@@ -332,7 +314,6 @@ impl Reactor {
 
     fn handle_command(&mut self, command: Command) {
         match command {
-            Command::Adopt(stream) => self.adopt(stream),
             Command::Flush(token) => {
                 let Some(state) = self.conns.get(&token) else {
                     return;
@@ -398,7 +379,7 @@ impl Reactor {
     }
 
     /// Tiered admission: connection cap, then queue-pressure shed, then
-    /// hand the connection to a reactor.
+    /// adopt the connection on this reactor.
     fn admit(&mut self, stream: TcpStream) {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return;
@@ -429,19 +410,8 @@ impl Reactor {
         }
         obs::counter("serve.connections", 1);
         self.inner.conn_count.fetch_add(1, Ordering::SeqCst);
-        if self.sharded {
-            // REUSEPORT sharding: the kernel already picked this
-            // reactor; adopt locally, no cross-thread handoff.
-            self.adopt(stream);
-            return;
-        }
-        let peer = self.next_peer;
-        self.next_peer = (self.next_peer + 1) % self.peers.len();
-        if Arc::ptr_eq(&self.peers[peer], &self.queue) {
-            self.adopt(stream);
-        } else {
-            self.peers[peer].adopt(stream);
-        }
+        // REUSEPORT sharding: the kernel already picked this reactor.
+        self.adopt(stream);
     }
 
     fn adopt(&mut self, stream: TcpStream) {
@@ -453,14 +423,9 @@ impl Reactor {
                 return;
             }
         };
-        // A connection adopted after shutdown is parked immediately; the
-        // drain logic below closes it.
-        let interest = if self.shutdown_seen {
-            conn.mark_read_shut();
-            Interest::NONE
-        } else {
-            Interest::READABLE
-        };
+        // `admit` refuses connections once shutdown is flagged, so an
+        // adopted connection always starts out reading.
+        let interest = Interest::READABLE;
         if self.poller.register(conn.fd(), token, interest).is_err() {
             conn.close();
             self.inner.conn_count.fetch_sub(1, Ordering::SeqCst);

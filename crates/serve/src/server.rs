@@ -3,8 +3,8 @@
 //! ## Architecture
 //!
 //! ```text
-//!  reactor threads (epoll/poll readiness loop, one Poller each)
-//!    reactor 0 also owns the listener + tiered admission control
+//!  reactor threads (edge-triggered epoll loop, one Poller each)
+//!    each owns one SO_REUSEPORT listener + tiered admission control
 //!        │  nonblocking reads → FrameDecoder reassembly
 //!        │  pings answered inline; predicts enqueued
 //!        ▼
@@ -89,7 +89,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lookhd::{LookHdClassifier, StreamingTrainer};
-use netpoll::{Mode, Poller};
+use netpoll::Poller;
 use obs::trace::{self, Phase};
 
 use crate::conn::Conn;
@@ -116,8 +116,9 @@ pub struct ServeConfig {
     /// [`ErrorCode::DeadlineExceeded`] without running inference.
     pub timeout: Duration,
     /// Reactor (I/O event loop) thread count. One reactor drives
-    /// thousands of connections; more split the descriptor set
-    /// round-robin.
+    /// thousands of connections; with more, each reactor owns an
+    /// `SO_REUSEPORT` listener on the shared address and the kernel
+    /// shards accepted connections across them by flow hash.
     pub reactors: usize,
     /// Most connections held open at once; the accept path answers the
     /// excess with one [`ErrorCode::Overloaded`] frame and closes
@@ -675,24 +676,41 @@ pub fn start_online<A: ToSocketAddrs>(
 /// Binds `n` `SO_REUSEPORT` listeners sharing one address so the kernel can
 /// shard incoming connections across reactor threads by flow hash.
 ///
-/// The first listener may bind an ephemeral port; the remaining `n - 1` bind
-/// to its concrete resolved address. Returns `None` when the platform (or
-/// the address) does not support `SO_REUSEPORT`, in which case the caller
-/// falls back to a single shared listener owned by reactor 0.
+/// The first listener takes the first resolved address that binds (an
+/// ephemeral port resolves here); the remaining `n - 1` bind to its
+/// concrete local address.
+///
+/// # Errors
+///
+/// Returns the last bind error when no resolved address binds (e.g.
+/// `AddrInUse` for a port held without `SO_REUSEPORT`), and any error
+/// from the follow-up binds.
 fn try_reuseport_listeners(
     addrs: &[SocketAddr],
     n: usize,
-) -> Option<(Vec<TcpListener>, SocketAddr)> {
-    let first = addrs
-        .iter()
-        .find_map(|addr| netpoll::reuseport_listener(*addr).ok())?;
-    let local_addr = first.local_addr().ok()?;
+) -> io::Result<(Vec<TcpListener>, SocketAddr)> {
+    let mut last_err = io::Error::new(
+        io::ErrorKind::InvalidInput,
+        "could not resolve to any address",
+    );
+    let mut first = None;
+    for addr in addrs {
+        match netpoll::reuseport_listener(*addr) {
+            Ok(listener) => {
+                first = Some(listener);
+                break;
+            }
+            Err(e) => last_err = e,
+        }
+    }
+    let first = first.ok_or(last_err)?;
+    let local_addr = first.local_addr()?;
     let mut listeners = Vec::with_capacity(n);
     listeners.push(first);
     for _ in 1..n {
-        listeners.push(netpoll::reuseport_listener(local_addr).ok()?);
+        listeners.push(netpoll::reuseport_listener(local_addr)?);
     }
-    Some((listeners, local_addr))
+    Ok((listeners, local_addr))
 }
 
 /// Every serve request, response, rejection, shed and drop counter. A
@@ -719,33 +737,13 @@ fn start_impl<A: ToSocketAddrs>(
 ) -> io::Result<ServerHandle> {
     let addr_list: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
     let n_reactors = config.reactors.max(1);
-    // Accept sharding: with multiple reactors, give each its own
-    // SO_REUSEPORT listener so accepts spread across threads without a
-    // shared accept lock. Falls back to one listener on reactor 0.
-    let (mut listeners, local_addr, sharded) = match try_reuseport_listeners(&addr_list, n_reactors)
-    {
-        Some((listeners, local_addr)) if n_reactors > 1 => {
-            let listeners = listeners.into_iter().map(Some).collect::<Vec<_>>();
-            (listeners, local_addr, true)
-        }
-        Some((mut listeners, local_addr)) => {
-            // Single reactor: REUSEPORT adds nothing; keep the one socket.
-            let first = listeners.drain(..1).next();
-            (vec![first], local_addr, false)
-        }
-        None => {
-            let listener = TcpListener::bind(&addr_list[..])?;
-            let local_addr = listener.local_addr()?;
-            let mut listeners: Vec<Option<TcpListener>> = Vec::with_capacity(n_reactors);
-            listeners.push(Some(listener));
-            listeners.resize_with(n_reactors, || None);
-            (listeners, local_addr, false)
-        }
-    };
+    // Accept sharding: every reactor owns its own SO_REUSEPORT listener,
+    // so accepts spread across threads without a shared accept lock.
+    let (listeners, local_addr) = try_reuseport_listeners(&addr_list, n_reactors)?;
     for name in SERVE_COUNTERS {
         obs::counter_id(obs::intern_counter(name, &[]), 0);
     }
-    if sharded {
+    if n_reactors > 1 {
         obs::counter("serve.accept_shards", n_reactors as u64);
     }
     // Surface which scoring kernel actually serves (automatic selection
@@ -757,7 +755,7 @@ fn start_impl<A: ToSocketAddrs>(
     let mut pollers = Vec::with_capacity(n_reactors);
     let mut queues = Vec::with_capacity(n_reactors);
     for _ in 0..n_reactors {
-        let poller = Poller::with_mode(Mode::Edge)?;
+        let poller = Poller::new()?;
         queues.push(Arc::new(ReactorQueue::new(poller.waker())));
         pollers.push(poller);
     }
@@ -806,16 +804,15 @@ fn start_impl<A: ToSocketAddrs>(
 
     let reactors = pollers
         .into_iter()
+        .zip(listeners)
         .enumerate()
-        .map(|(i, poller)| {
+        .map(|(i, (poller, listener))| {
             let reactor = Reactor::new(
                 i,
                 Arc::clone(&inner),
                 poller,
                 Arc::clone(&queues[i]),
-                listeners[i].take(), // sharded: every reactor; else reactor 0
-                sharded,
-                queues.clone(),
+                listener,
             );
             std::thread::spawn(move || reactor.run())
         })

@@ -5,6 +5,9 @@
 # end-to-end serve + loadgen smoke test (admin telemetry endpoint, trace
 # export, perf-trajectory files), an online-training hot-swap smoke
 # test, and the observability overhead budget.
+# Every report and BENCH record a run produces goes to a temporary
+# directory, so a passing run leaves the working tree unchanged; the
+# README says how to re-record the committed files.
 # Usage: scripts/ci.sh            (set LOOKHD_SOAK=1 for a 10k-conn soak)
 set -eu
 cd "$(dirname "$0")/.."
@@ -136,10 +139,10 @@ fi
 cargo run --release -q -p lookhd-bench --bin loadgen -- \
     --addr "$serve_addr" --data "$smoke_dir/queries.csv" \
     --connections 4 --requests 50 --trace --admin "$admin_addr" \
-    --out results/serve_loadgen.txt
-grep -q "latency ms:" results/serve_loadgen.txt
-grep -q "trace ids: propagated" results/serve_loadgen.txt
-grep -q "server health (from /healthz): 200" results/serve_loadgen.txt
+    --out "$smoke_dir/serve_loadgen.txt"
+grep -q "latency ms:" "$smoke_dir/serve_loadgen.txt"
+grep -q "trace ids: propagated" "$smoke_dir/serve_loadgen.txt"
+grep -q "server health (from /healthz): 200" "$smoke_dir/serve_loadgen.txt"
 # Live scrapes: snapshot JSON, Prometheus text, and the Chrome
 # trace-event export, each validated by an independent parser.
 python3 - "$admin_addr" << 'EOF'
@@ -234,15 +237,15 @@ EOF
 python3 -c "import json, sys; json.load(open(sys.argv[1]))" "$smoke_dir/serve_metrics.json"
 # High-concurrency smoke: a multiplexed connections sweep up to 1024
 # concurrent pipelined connections against the 2-reactor server. Any
-# in-deadline drop or id mismatch fails the run; this also starts the
-# schema-v3 BENCH_serve.json reactors×connections record (the 1-reactor
-# run below appends to it).
+# in-deadline drop or id mismatch fails the run; this also starts a
+# schema-v3 reactors×connections serve record (the 1-reactor run below
+# appends to it).
 cargo run --release -q -p lookhd-bench --bin loadgen -- \
     --addr "$serve_addr" --data "$smoke_dir/queries.csv" \
     --curve 64,512,1024 --requests 10 --pipeline 4 --reactors 2 \
-    --bench-out BENCH_serve.json --out results/serve_curve.txt
-grep -q "connections 1024:" results/serve_curve.txt
-grep -q "loadgen shares the host" results/serve_curve.txt
+    --bench-out "$smoke_dir/BENCH_serve.json" --out "$smoke_dir/serve_curve.txt"
+grep -q "connections 1024:" "$smoke_dir/serve_curve.txt"
+grep -q "loadgen shares the host" "$smoke_dir/serve_curve.txt"
 # Graceful shutdown via a second (untraced) loadgen connection.
 cargo run --release -q -p lookhd-bench --bin loadgen -- \
     --addr "$serve_addr" --data "$smoke_dir/queries.csv" \
@@ -268,10 +271,10 @@ print(f"serve metrics OK: {counters['serve.batches']} batches "
       f"for {counters['serve.requests']} requests")
 EOF
 
-echo "== single-reactor curve point (accept-sharding fallback path)"
-# A second server with --reactors 1 exercises the single-listener
-# fallback; its 512-connection point appends a second run entry to the
-# schema-v3 BENCH_serve.json started above.
+echo "== single-reactor curve point (one reactor on one SO_REUSEPORT listener)"
+# A second server with --reactors 1: one reactor accepts every
+# connection on its own listener. Its 512-connection point appends a
+# second run entry to the schema-v3 serve record started above.
 cargo run --release -q -p lookhd-cli -- serve \
     --model "$smoke_dir/model.lks" --addr 127.0.0.1:0 --threads 2 \
     --reactors 1 --max-batch 64 --queue-cap 8192 --max-conns 4096 \
@@ -294,8 +297,8 @@ fi
 cargo run --release -q -p lookhd-bench --bin loadgen -- \
     --addr "$serve1_addr" --data "$smoke_dir/queries.csv" \
     --curve 512 --requests 10 --pipeline 4 --reactors 1 \
-    --bench-out BENCH_serve.json --bench-append \
-    --out results/serve_curve_r1.txt
+    --bench-out "$smoke_dir/BENCH_serve.json" --bench-append \
+    --out "$smoke_dir/serve_curve_r1.txt"
 cargo run --release -q -p lookhd-bench --bin loadgen -- \
     --addr "$serve1_addr" --data "$smoke_dir/queries.csv" \
     --connections 1 --requests 1 \
@@ -310,13 +313,13 @@ assert counters.get("serve.responses.ok") == 5121, counters
 assert counters.get("serve.requests") == 5121, counters
 print("single-reactor serve metrics OK: 5121 requests")
 EOF
-python3 - << 'EOF'
-import json
+python3 - "$smoke_dir/BENCH_serve.json" << 'EOF'
+import json, sys
 # The serve record is a schema-v3 reactors × connections matrix from
 # the multiplexed loadgen; every point must be drop-free and complete
 # (exact request counts), and the host block must disclose that loadgen
 # shared the machine with the server.
-doc = json.load(open("BENCH_serve.json"))
+doc = json.load(open(sys.argv[1]))
 assert doc["schema_version"] == 3, doc
 assert doc["host"]["cores"] >= 1, doc
 assert doc["host"]["loadgen_shares_host"] is True, doc["host"]
@@ -381,8 +384,8 @@ grep -q "online training on" "$smoke_dir/online.log"
 cargo run --release -q -p lookhd-bench --bin loadgen -- \
     --addr "$online_addr" --data "$smoke_dir/train.csv" \
     --feedback --refresh --connections 1 --requests 270 \
-    --out results/serve_feedback.txt
-grep -q "model refresh: acknowledged, now serving version 2" results/serve_feedback.txt
+    --out "$smoke_dir/serve_feedback.txt"
+grep -q "model refresh: acknowledged, now serving version 2" "$smoke_dir/serve_feedback.txt"
 # The admin endpoint must show the swap landed and every fold counted:
 # model.version advanced to 2 and train.observed.* match the fed label
 # histogram exactly.
@@ -446,8 +449,8 @@ if [ "${LOOKHD_SOAK:-0}" = "1" ]; then
         --addr "$soak_addr" --data "$smoke_dir/queries.csv" \
         --connections 10000 --requests 5 --pipeline 2 \
         --deadline-ms 60000 --reactors 2 \
-        --out results/serve_soak_10k.txt
-    grep -q "connections 10000:" results/serve_soak_10k.txt
+        --out "$smoke_dir/serve_soak_10k.txt"
+    grep -q "connections 10000:" "$smoke_dir/serve_soak_10k.txt"
     cargo run --release -q -p lookhd-bench --bin loadgen -- \
         --addr "$soak_addr" --data "$smoke_dir/queries.csv" \
         --connections 1 --requests 1 \
@@ -456,13 +459,14 @@ if [ "${LOOKHD_SOAK:-0}" = "1" ]; then
 fi
 
 echo "== observability overhead budget (< 5%, single-thread + 8-thread contention)"
-# Writes the schema-versioned BENCH_obs.json (committed at the repo
-# root): both gate arms plus the single-mutex vs sharded contention
-# comparison; exits nonzero if either gate blows the budget.
-cargo run --release -q -p lookhd-bench --bin obs_overhead_check
-python3 - << 'EOF'
-import json
-doc = json.load(open("BENCH_obs.json"))
+# Writes a schema-versioned BENCH_obs.json record: both gate arms plus
+# the single-mutex vs sharded contention comparison; exits nonzero if
+# either gate blows the budget.
+cargo run --release -q -p lookhd-bench --bin obs_overhead_check -- \
+    --out "$smoke_dir/BENCH_obs.json"
+python3 - "$smoke_dir/BENCH_obs.json" << 'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
 assert doc["schema_version"] == 1, doc
 assert doc["host"]["cores"] >= 1 and doc["host"]["co_located"] is True, doc["host"]
 for gate in ("single_thread", "multi_thread_8"):

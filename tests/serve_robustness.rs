@@ -1,9 +1,12 @@
 //! Robustness tests for the batched inference server's flow-control
 //! machinery: per-request deadlines expire queued work (and free the
 //! slot), a full bounded queue rejects with a backpressure error instead
-//! of buffering unboundedly, and graceful shutdown drains every accepted
-//! request before the workers exit.
+//! of buffering unboundedly, graceful shutdown drains every accepted
+//! request before the workers exit, and a port another socket holds is
+//! reported as a bind error.
 
+use std::io;
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -218,4 +221,22 @@ fn graceful_shutdown_drains_accepted_requests() {
 
     // All threads (accept, readers, workers) terminate.
     handle.join();
+}
+
+/// A port held by a plain (non-`SO_REUSEPORT`) listener cannot be
+/// shared: `start` returns the bind error — it neither panics, hangs,
+/// nor quietly serves on some other socket — for one reactor and many.
+#[test]
+fn start_on_a_port_held_without_reuseport_returns_addr_in_use() {
+    let held = TcpListener::bind("127.0.0.1:0").expect("bind failed");
+    let addr = held.local_addr().unwrap();
+    for reactors in [1, 2] {
+        let stub = Arc::new(SlowStub {
+            delay: Duration::ZERO,
+        });
+        match serve::start(addr, stub, ServeConfig::new().with_reactors(reactors)) {
+            Ok(_) => panic!("{reactors} reactor(s) started on the held port {addr}"),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::AddrInUse, "{reactors}: {e}"),
+        }
+    }
 }
